@@ -54,6 +54,7 @@ pub fn analyze_tree(root: &Path, cfg: &Config) -> Result<Report, String> {
             cfg.hot_manifest.iter().filter(|e| e.file == *rel).collect();
         if !entries.is_empty() {
             findings.extend(hot_alloc::check(rel, toks, &entries));
+            findings.extend(hot_alloc::stale_entries(rel, toks, &entries));
         }
     }
 

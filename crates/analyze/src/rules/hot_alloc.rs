@@ -52,6 +52,29 @@ pub fn check(file: &str, tokens: &[Tok], entries: &[&ManifestEntry]) -> Vec<Find
     findings
 }
 
+/// Flags manifest entries for `file` whose pattern matches no `fn`
+/// defined in it. A renamed or deleted function would otherwise drop
+/// out of the zero-allocation guard silently: the body scan above only
+/// ever sees functions that match, so a stale pattern passes vacuously.
+pub fn stale_entries(file: &str, tokens: &[Tok], entries: &[&ManifestEntry]) -> Vec<Finding> {
+    let toks: Vec<&Tok> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let defined: Vec<&str> = toks
+        .windows(2)
+        .filter(|w| w[0].is_ident("fn") && w[1].kind == TokKind::Ident)
+        .map(|w| w[1].text.as_str())
+        .collect();
+    entries
+        .iter()
+        .filter(|e| !defined.iter().any(|name| e.matches(name)))
+        .map(|e| Finding {
+            file: crate::config::Config::MANIFEST_PATH.to_string(),
+            line: 1,
+            rule: "hot-alloc",
+            message: format!("manifest entry `{e}` matches no fn in {file}; update or remove the stale pattern"),
+        })
+        .collect()
+}
+
 /// Token range (exclusive of braces) of the fn body whose signature
 /// starts at `from`: the first `{` outside parentheses, brace-matched
 /// to its close.
@@ -199,6 +222,21 @@ mod tests {
     fn generic_signature_body_found() {
         let f = run("pub fn zip_acc<F: Fn(f32) -> f32>(d: &mut M, f: F) where F: Sync {\n    let t = d.clone();\n}");
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn pattern_matching_no_fn_is_stale() {
+        let es = entries();
+        let refs: Vec<&ManifestEntry> = es.iter().collect();
+        // `*_acc` matches; nothing is named `sgd_step`, and a mention in
+        // a comment or a call does not define it.
+        let src = "pub fn x_acc(d: &mut M) {}\n// sgd_step lives elsewhere\nfn other() { sgd_step(); }";
+        let f = stale_entries("k.rs", &lex(src), &refs);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "hot-alloc");
+        assert!(f[0].message.contains("k.rs sgd_step"), "{}", f[0].message);
+        let both = "fn x_acc() {}\nfn sgd_step() {}";
+        assert!(stale_entries("k.rs", &lex(both), &refs).is_empty());
     }
 
     #[test]

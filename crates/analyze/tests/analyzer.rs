@@ -163,6 +163,18 @@ fn manifest_entry_naming_missing_file_is_flagged() {
     assert!(report.findings[0].message.contains("names a file not in the tree"));
 }
 
+#[test]
+fn manifest_pattern_matching_no_fn_is_flagged() {
+    let fx = Fixture::new("hot-stale");
+    // The file exists but nothing in it matches `*_acc` any more (the
+    // kernel was renamed): the entry guards nothing, which must be loud.
+    fx.write("numeric/src/hot.rs", "pub fn add(dst: &mut [f32], src: &[f32]) {\n    let _ = (dst, src);\n}\n");
+    let report = fx.run(&hot_cfg());
+    assert_eq!(rules_of(&report), vec!["hot-alloc"]);
+    assert_eq!(report.findings[0].file, Config::MANIFEST_PATH);
+    assert!(report.findings[0].message.contains("matches no fn"), "{}", report.findings[0].message);
+}
+
 // ----- rule 4: kernel coverage ----------------------------------------
 
 fn coverage_cfg() -> Config {

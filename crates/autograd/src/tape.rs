@@ -13,7 +13,7 @@
 //! and backward contributions are produced by [`gnmr_tensor`] ops, so
 //! `matmul`/`spmm` (and their transposed backward counterparts) inherit
 //! the tiled, thread-parallel kernels of `gnmr_tensor::kernels`, and
-//! gradient accumulation (`add_assign`, the `gather_rows` scatter-add)
+//! gradient accumulation (`add`, the `gather_rows` scatter-add)
 //! runs on the same shared **persistent worker pool** where the
 //! buffers are large enough to amortize dispatch — important for the
 //! tape, which issues many sub-millisecond kernel calls per training
@@ -22,16 +22,17 @@
 //! The backward pass is **allocation-free in the steady state**:
 //! gradient accumulators come from a shape-keyed [`Arena`]
 //! ([`Graph::backward_with`]), contributions are applied through the
-//! fused in-place kernels (`axpy`, the `zip_map` family, the
-//! `matmul_*`/`spmm_*` accumulate forms), and every buffer is returned
-//! to the arena for the next step. The in-place paths reproduce the
+//! in-place kernels (`axpy`, `zip_map`, `matmul_nt`/`matmul_tn`,
+//! `spmm`/`spmm_t`, each in its assign or accumulate mode), and every
+//! buffer is returned to the arena for the next step. The in-place paths reproduce the
 //! historical allocate-then-combine float sequences exactly, so
 //! training bytes are unchanged (see the kernel docs and
 //! `tests/determinism.rs`).
 
 use std::sync::Arc;
 
-use gnmr_tensor::{kernels, stats, Arena, Csr, Matrix};
+use gnmr_tensor::kernels::{self, Mode, Threads::Auto};
+use gnmr_tensor::{stats, Arena, Csr, Matrix};
 
 /// A handle to a node in a [`Graph`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -372,16 +373,16 @@ impl Graph {
     /// `arena` and returns replaced ones to it, so a warm arena makes the
     /// whole backward pass allocation-free.
     ///
-    /// Gradients are accumulated **in place** through the fused kernels
-    /// in [`gnmr_tensor::kernels`]: the first contribution to a node is
-    /// written into a checkout (assign-style kernels take dirty buffers,
-    /// streaming accumulators take zeroed ones — both produce exactly
-    /// the bytes the old freshly-allocated contribution held), and every
-    /// further contribution either folds in fully-formed values with one
-    /// add per element or goes through a zeroed scratch checkout plus
-    /// `add_assign`, replicating the historical allocate-then-combine
-    /// float sequence. Results are therefore bitwise identical to the
-    /// pre-arena tape at every thread count.
+    /// Gradients are accumulated **in place** through the kernels in
+    /// [`gnmr_tensor::kernels`]: the first contribution to a node is
+    /// written into a checkout (fused kernels in `Mode::Assign` take
+    /// dirty buffers, streaming kernels take zeroed ones — both produce
+    /// exactly the bytes the old freshly-allocated contribution held),
+    /// and every further contribution either folds in fully-formed
+    /// values with one add per element (`Mode::Acc`) or goes through a
+    /// zeroed scratch checkout plus `add`, replicating the historical
+    /// allocate-then-combine float sequence. Results are therefore
+    /// bitwise identical to the pre-arena tape at every thread count.
     pub fn backward_with(&mut self, loss: Var, arena: &Arena) {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be 1x1, got {:?}", self.shape(loss));
         for n in &mut self.nodes {
@@ -407,295 +408,122 @@ impl Graph {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
                     for p in [*a, *b] {
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            g.shape(),
-                            |_, d| d.copy_from(g),
-                            |_, d| kernels::add_assign(d, g),
-                        );
+                        apply_map(head, arena, p, g.shape(), |_, d, m| kernels::add(d, g, m, Auto));
                     }
                 }
                 Op::Sub(a, b) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
-                    apply_map(
-                        head,
-                        arena,
-                        *b,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, -1.0),
-                        |_, d| kernels::axpy(d, g, -1.0),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::add(d, g, m, Auto));
+                    apply_map(head, arena, *b, g.shape(), |_, d, m| kernels::axpy(d, g, -1.0, m, Auto));
                 }
                 Op::Mul(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            g.shape(),
-                            |h, d| kernels::zip_map_into(d, g, &h[o.0].value, |gi, vi| gi * vi),
-                            |h, d| kernels::zip_map_acc(d, g, &h[o.0].value, |gi, vi| gi * vi),
-                        );
+                        apply_map(head, arena, p, g.shape(), |h, d, m| {
+                            kernels::zip_map(d, g, &h[o.0].value, |gi, vi| gi * vi, m, Auto)
+                        });
                     }
                 }
                 Op::Scale(a, s) => {
                     let s = *s;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, s),
-                        |_, d| kernels::axpy(d, g, s),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::axpy(d, g, s, m, Auto));
                 }
                 Op::AddScalar(a) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::add(d, g, m, Auto));
                 }
                 Op::Neg(a) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, -1.0),
-                        |_, d| kernels::axpy(d, g, -1.0),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::axpy(d, g, -1.0, m, Auto));
                 }
                 Op::MatMul(a, b) => {
                     let da_shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        da_shape,
-                        |h, d| kernels::matmul_nt_into(d, g, &h[b.0].value),
-                        |h, d| kernels::matmul_nt_acc(d, g, &h[b.0].value),
-                    );
+                    apply_map(head, arena, *a, da_shape, |h, d, m| kernels::matmul_nt(d, g, &h[b.0].value, m, Auto));
                     let db_shape = head[b.0].value.shape();
                     apply_sum(head, arena, *b, db_shape, |h, d| {
-                        kernels::matmul_tn_acc(d, &h[a.0].value, g)
+                        kernels::matmul_tn(d, &h[a.0].value, g, Mode::Acc, Auto)
                     });
                 }
                 Op::Transpose(a) => {
                     let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| kernels::transpose_into(d, g),
-                        |_, d| kernels::transpose_acc(d, g),
-                    );
+                    apply_map(head, arena, *a, shape, |_, d, m| kernels::transpose(d, g, m));
                 }
                 Op::Relu(a) => {
                     let f = |gi: f32, yi: f32| if yi > 0.0 { gi } else { 0.0 };
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::zip_map(d, g, out, f, m, Auto));
                 }
                 Op::LeakyRelu(a, slope) => {
                     let slope = *slope;
                     let f = move |gi: f32, xi: f32| if xi > 0.0 { gi } else { gi * slope };
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, m| {
+                        kernels::zip_map(d, g, &h[a.0].value, f, m, Auto)
+                    });
                 }
                 Op::Sigmoid(a) => {
                     let f = |gi: f32, yi: f32| gi * yi * (1.0 - yi);
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::zip_map(d, g, out, f, m, Auto));
                 }
                 Op::Tanh(a) => {
                     let f = |gi: f32, yi: f32| gi * (1.0 - yi * yi);
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::zip_map(d, g, out, f, m, Auto));
                 }
                 Op::Exp(a) => {
                     let f = |gi: f32, yi: f32| gi * yi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::zip_map(d, g, out, f, m, Auto));
                 }
                 Op::Ln(a) => {
                     let f = |gi: f32, xi: f32| gi / xi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, m| {
+                        kernels::zip_map(d, g, &h[a.0].value, f, m, Auto)
+                    });
                 }
                 Op::Sqr(a) => {
                     let f = |gi: f32, xi: f32| 2.0 * gi * xi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, m| {
+                        kernels::zip_map(d, g, &h[a.0].value, f, m, Auto)
+                    });
                 }
                 Op::Softplus(a) => {
                     let f = |gi: f32, xi: f32| gi * stats::sigmoid(xi);
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, m| {
+                        kernels::zip_map(d, g, &h[a.0].value, f, m, Auto)
+                    });
                 }
                 Op::SoftmaxRows(a) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::softmax_rows_backward_into(d, g, out),
-                        |_, d| kernels::softmax_rows_backward_acc(d, g, out),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::softmax_rows_backward(d, g, out, m));
                 }
                 Op::SumAll(a) => {
                     let shape = head[a.0].value.shape();
                     let val = g.scalar_value();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| d.fill(val),
-                        |_, d| {
-                            for o in d.data_mut() {
-                                *o += val;
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *a, shape, |_, d, m| put_all(d.data_mut(), val, m));
                 }
                 Op::MeanAll(a) => {
                     let shape = head[a.0].value.shape();
                     let n = (shape.0 * shape.1) as f32;
                     let val = g.scalar_value() / n;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| d.fill(val),
-                        |_, d| {
-                            for o in d.data_mut() {
-                                *o += val;
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *a, shape, |_, d, m| put_all(d.data_mut(), val, m));
                 }
                 Op::RowSums(a) => {
                     let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                let gi = g.get(r, 0);
-                                for v in d.row_mut(r) {
-                                    *v = gi;
-                                }
-                            }
-                        },
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                let gi = g.get(r, 0);
-                                for v in d.row_mut(r) {
-                                    *v += gi;
-                                }
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *a, shape, |_, d, m| {
+                        for r in 0..shape.0 {
+                            put_all(d.row_mut(r), g.get(r, 0), m);
+                        }
+                    });
                 }
                 Op::ColSums(a) => {
                     let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                d.row_mut(r).copy_from_slice(g.row(0));
-                            }
-                        },
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                for (o, &x) in d.row_mut(r).iter_mut().zip(g.row(0)) {
-                                    *o += x;
-                                }
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *a, shape, |_, d, m| {
+                        for r in 0..shape.0 {
+                            put_slice(d.row_mut(r), g.row(0), m);
+                        }
+                    });
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for &p in parts {
                         let (pr, w) = head[p.0].value.shape();
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            (pr, w),
-                            |_, d| {
-                                for r in 0..pr {
-                                    d.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
-                                }
-                            },
-                            |_, d| {
-                                for r in 0..pr {
-                                    for (o, &x) in
-                                        d.row_mut(r).iter_mut().zip(&g.row(r)[offset..offset + w])
-                                    {
-                                        *o += x;
-                                    }
-                                }
-                            },
-                        );
+                        apply_map(head, arena, p, (pr, w), |_, d, m| {
+                            for r in 0..pr {
+                                put_slice(d.row_mut(r), &g.row(r)[offset..offset + w], m);
+                            }
+                        });
                         offset += w;
                     }
                 }
@@ -717,13 +545,11 @@ impl Graph {
                     // (and bytes) as the serial loop.
                     let shape = head[a.0].value.shape();
                     apply_sum(head, arena, *a, shape, |_, d| {
-                        kernels::scatter_add_rows(d, indices, g)
+                        kernels::scatter_add_rows(d, indices, g, Mode::Acc, Auto)
                     });
                 }
                 Op::AddRowBroadcast(a, row) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| kernels::add(d, g, m, Auto));
                     apply_sum(head, arena, *row, (1, g.cols()), |_, d| {
                         for r in 0..g.rows() {
                             for (o, &x) in d.row_mut(0).iter_mut().zip(g.row(r)) {
@@ -733,65 +559,35 @@ impl Graph {
                     });
                 }
                 Op::MulColBroadcast(a, col) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::mul_col_broadcast_into(d, g, &h[col.0].value),
-                        |h, d| kernels::mul_col_broadcast_acc(d, g, &h[col.0].value),
-                    );
-                    apply_map(
-                        head,
-                        arena,
-                        *col,
-                        (g.rows(), 1),
-                        |h, d| kernels::row_dot_into(d, g, &h[a.0].value),
-                        |h, d| kernels::row_dot_acc(d, g, &h[a.0].value),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, m| {
+                        kernels::mul_col_broadcast(d, g, &h[col.0].value, m)
+                    });
+                    apply_map(head, arena, *col, (g.rows(), 1), |h, d, m| kernels::row_dot(d, g, &h[a.0].value, m));
                 }
                 Op::RowDot(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
                         let shape = head[o.0].value.shape();
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            shape,
-                            |h, d| kernels::mul_col_broadcast_into(d, &h[o.0].value, g),
-                            |h, d| kernels::mul_col_broadcast_acc(d, &h[o.0].value, g),
-                        );
+                        apply_map(head, arena, p, shape, |h, d, m| {
+                            kernels::mul_col_broadcast(d, &h[o.0].value, g, m)
+                        });
                     }
                 }
                 Op::Spmm(csr, x) => {
                     let shape = head[x.0].value.shape();
-                    apply_sum(head, arena, *x, shape, |_, d| kernels::spmm_t_acc(d, csr, g));
+                    apply_sum(head, arena, *x, shape, |_, d| kernels::spmm_t(d, csr, g, Mode::Acc, Auto));
                 }
                 Op::SpmmT(csr, x) => {
                     let shape = head[x.0].value.shape();
-                    apply_sum(head, arena, *x, shape, |_, d| kernels::spmm_acc(d, csr, g));
+                    apply_sum(head, arena, *x, shape, |_, d| kernels::spmm(d, csr, g, Mode::Acc, Auto));
                 }
                 Op::Dropout(a, mask) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| {
-                            for ((o, &gi), &mi) in
-                                d.data_mut().iter_mut().zip(g.data()).zip(mask.iter())
-                            {
-                                *o = gi * mi;
-                            }
-                        },
-                        |_, d| {
-                            for ((o, &gi), &mi) in
-                                d.data_mut().iter_mut().zip(g.data()).zip(mask.iter())
-                            {
-                                *o += gi * mi;
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, m| {
+                        let terms = d.data_mut().iter_mut().zip(g.data()).zip(mask.iter());
+                        match m {
+                            Mode::Assign => terms.for_each(|((o, &gi), &mi)| *o = gi * mi),
+                            Mode::Acc => terms.for_each(|((o, &gi), &mi)| *o += gi * mi),
+                        }
+                    });
                 }
             }
         }
@@ -833,36 +629,48 @@ fn take_or_checkout(
     }
 }
 
-/// Applies a *map-style* contribution, where every element of the
-/// contribution is one fully-formed value: the first contribution
-/// assigns every element of a (dirty) checkout via `into`, and later
-/// contributions fold the identical values in with one add per element
-/// via `acc` — bitwise-equal to materializing the contribution and
-/// `add_assign`ing it.
+/// Applies a *map-style* contribution (a fused kernel, see
+/// [`Mode`]), where every element of the contribution is one
+/// fully-formed value: the first contribution assigns every element of
+/// a (dirty) checkout with [`Mode::Assign`], and later contributions
+/// fold the identical values in with one add per element via
+/// [`Mode::Acc`] — bitwise-equal to materializing the contribution and
+/// `add`ing it.
 fn apply_map(
     head: &mut [Node],
     arena: &Arena,
     v: Var,
     shape: (usize, usize),
-    into: impl FnOnce(&[Node], &mut Matrix),
-    acc: impl FnOnce(&[Node], &mut Matrix),
+    contribute: impl FnOnce(&[Node], &mut Matrix, Mode),
 ) {
     let (mut dst, fresh) = take_or_checkout(head, arena, v, shape);
-    if fresh {
-        into(head, &mut dst);
-    } else {
-        acc(head, &mut dst);
-    }
+    contribute(head, &mut dst, if fresh { Mode::Assign } else { Mode::Acc });
     head[v.0].grad = Some(dst);
 }
 
-/// Applies a *sum-style* contribution, where the kernel streams partial
-/// sums and therefore must start from zero bytes: the first
-/// contribution streams into a zeroed checkout (exactly the old
-/// freshly-allocated contribution), and later contributions stream into
-/// a zeroed scratch checkout that is `add_assign`ed and returned to the
-/// arena — the historical allocate-then-combine float sequence, minus
-/// the allocation.
+/// `dst = x` or `dst += x` for every element, per `mode`.
+fn put_all(dst: &mut [f32], x: f32, mode: Mode) {
+    match mode {
+        Mode::Assign => dst.fill(x),
+        Mode::Acc => dst.iter_mut().for_each(|o| *o += x),
+    }
+}
+
+/// `dst = src` or `dst += src` elementwise, per `mode`.
+fn put_slice(dst: &mut [f32], src: &[f32], mode: Mode) {
+    match mode {
+        Mode::Assign => dst.copy_from_slice(src),
+        Mode::Acc => dst.iter_mut().zip(src).for_each(|(o, &x)| *o += x),
+    }
+}
+
+/// Applies a *sum-style* contribution (a streaming kernel, see
+/// [`Mode`]), which advances partial sums and therefore must start
+/// from zero bytes: the first contribution streams into a zeroed
+/// checkout (exactly the old freshly-allocated contribution), and
+/// later contributions stream into a zeroed scratch checkout that is
+/// `add`ed and returned to the arena — the historical
+/// allocate-then-combine float sequence, minus the allocation.
 fn apply_sum(
     head: &mut [Node],
     arena: &Arena,
@@ -877,7 +685,7 @@ fn apply_sum(
     } else {
         let mut scratch = arena.checkout_zeroed(shape.0, shape.1);
         compute(head, &mut scratch);
-        kernels::add_assign(&mut dst, &scratch);
+        kernels::add(&mut dst, &scratch, Mode::Acc, Auto);
         arena.checkin(scratch);
     }
     head[v.0].grad = Some(dst);

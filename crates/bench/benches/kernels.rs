@@ -1,9 +1,8 @@
 //! Kernel-layer benchmarks: serial reference vs. tiled vs. parallel at
 //! multiple thread counts, with a machine-readable summary.
 //!
-//! Unlike the criterion benches this is a custom harness: it times each
-//! (op, variant, threads) cell directly and writes
-//! `results/bench_kernels.json` — one record per cell with
+//! A custom harness: it times each (op, variant, threads) cell directly
+//! and writes `results/bench_kernels.json` — one record per cell with
 //! `{op, shape, variant, threads, ns_per_iter, speedup_vs_serial}` — so
 //! future PRs have a perf trajectory to compare against.
 //!
@@ -17,12 +16,19 @@
 //! smoke test that exercises every kernel through the persistent pool
 //! (including the sub-millisecond `dispatch` cells) without perturbing
 //! the recorded perf trajectory.
+//!
+//! The `serial` cells time the plain reference loops the equivalence
+//! suites pin every kernel against (`crates/tensor/tests/reference`).
 
 use std::hint::black_box;
 use std::time::Instant;
 
+#[path = "../../tensor/tests/reference/mod.rs"]
+mod reference;
+
 use gnmr::autograd::{adam_step, AdamStep};
-use gnmr::tensor::{init, kernels, par, rng, Csr, Matrix};
+use gnmr::tensor::kernels::{self, Mode::Acc, Threads::Exact};
+use gnmr::tensor::{init, par, rng, Csr, Matrix};
 use gnmr_bench::output::results_dir;
 use rand::Rng;
 
@@ -66,10 +72,10 @@ fn time_block(f: &mut impl FnMut(), block_ms: u128) -> u128 {
     start.elapsed().as_nanos() / iters.max(1)
 }
 
-/// Measures one op: the serial reference and the `*_with` entry point
-/// at each thread count, **interleaved** — every variant gets one
-/// measurement block per round, and each variant's minimum across
-/// rounds is recorded. Interleaving matters on a noisy shared
+/// Measures one op: the serial reference and the kernel on
+/// `Threads::Exact` at each thread count, **interleaved** — every
+/// variant gets one measurement block per round, and each variant's
+/// minimum across rounds is recorded. Interleaving matters on a noisy shared
 /// container: a load spike then inflates every variant of the op
 /// equally instead of whichever single cell was being timed, so the
 /// speedup ratios stay meaningful even when absolute ns drift between
@@ -120,7 +126,7 @@ fn push_cells(
     }
 }
 
-/// Measures a single-variant op (no `*_with` form — the optimizer
+/// Measures a single-variant op (no thread policy — the optimizer
 /// kernels take no thread count): one "serial" row, same min-of-rounds
 /// discipline as [`push_cells`].
 fn push_serial_cell(records: &mut Vec<Record>, op: &'static str, shape: String, mut f: impl FnMut()) {
@@ -256,10 +262,10 @@ fn regression_gate() -> ! {
     let target = TARGET.load(std::sync::atomic::Ordering::Relaxed) as u128;
     let block_ms = (target / ROUNDS).max(1);
     let mut one = || {
-        black_box(kernels::matmul_with(&da, &db, 1));
+        black_box(reference::matmul_on(&da, &db, 1));
     };
     let mut two = || {
-        black_box(kernels::matmul_with(&da, &db, 2));
+        black_box(reference::matmul_on(&da, &db, 2));
     };
     one();
     two();
@@ -323,14 +329,14 @@ fn main() {
         "dispatch",
         format!("{dm}x{dk}x{dn}"),
         // 72x32x32 = 73,728 multiply-adds sits just above PAR_MIN_WORK,
-        // so the one-thread `*_with` cell runs the tiled microkernel,
+        // so the one-thread cell runs the tiled microkernel,
         // not the plain serial reference — label it honestly.
         "tiled",
         || {
-            black_box(kernels::matmul_serial(&da, &db));
+            black_box(reference::matmul_serial(&da, &db));
         },
         |t| {
-            black_box(kernels::matmul_with(&da, &db, t));
+            black_box(reference::matmul_on(&da, &db, t));
         },
     );
 
@@ -344,10 +350,10 @@ fn main() {
         format!("{m}x{k}x{n}"),
         "tiled",
         || {
-            black_box(kernels::matmul_serial(&a, &b));
+            black_box(reference::matmul_serial(&a, &b));
         },
         |t| {
-            black_box(kernels::matmul_with(&a, &b, t));
+            black_box(reference::matmul_on(&a, &b, t));
         },
     );
 
@@ -360,10 +366,10 @@ fn main() {
         "1024x96^T*1024x96".into(),
         "serial_1t",
         || {
-            black_box(kernels::matmul_tn_serial(&at, &bt));
+            black_box(reference::matmul_tn_serial(&at, &bt));
         },
         |t| {
-            black_box(kernels::matmul_tn_with(&at, &bt, t));
+            black_box(reference::matmul_tn_on(&at, &bt, t));
         },
     );
 
@@ -376,10 +382,10 @@ fn main() {
         format!("{}nnz*4000x64", csr.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_serial(&csr, &dense));
+            black_box(reference::spmm_serial(&csr, &dense));
         },
         |t| {
-            black_box(kernels::spmm_with(&csr, &dense, t));
+            black_box(reference::spmm_on(&csr, &dense, t));
         },
     );
 
@@ -390,10 +396,10 @@ fn main() {
         format!("{}nnz^T*4000x64", csr.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_t_serial(&csr, &dense));
+            black_box(reference::spmm_t_serial(&csr, &dense));
         },
         |t| {
-            black_box(kernels::spmm_t_with(&csr, &dense, t));
+            black_box(reference::spmm_t_on(&csr, &dense, t));
         },
     );
 
@@ -414,10 +420,10 @@ fn main() {
         format!("{}nnz(hub90)*40000x64", skew.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_serial(&skew, &skew_x));
+            black_box(reference::spmm_serial(&skew, &skew_x));
         },
         |t| {
-            black_box(kernels::spmm_with(&skew, &skew_x, t));
+            black_box(reference::spmm_on(&skew, &skew_x, t));
         },
     );
     push_cells(
@@ -426,10 +432,10 @@ fn main() {
         format!("{}nnz(hub90)^T*8000x64", skew.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_t_serial(&skew, &skew_xt));
+            black_box(reference::spmm_t_serial(&skew, &skew_xt));
         },
         |t| {
-            black_box(kernels::spmm_t_with(&skew, &skew_xt, t));
+            black_box(reference::spmm_t_on(&skew, &skew_xt, t));
         },
     );
 
@@ -451,43 +457,12 @@ fn main() {
         // drift the in-place destination toward inf and skew late
         // rounds.
         || {
-            kernels::axpy_with(&mut axpy_sdst, &esrc, 1e-6, 1);
+            kernels::axpy(&mut axpy_sdst, &esrc, 1e-6, Acc, Exact(1));
             black_box(&axpy_sdst);
         },
         |t| {
-            kernels::axpy_with(&mut axpy_pdst, &esrc, 1e-6, t);
+            kernels::axpy(&mut axpy_pdst, &esrc, 1e-6, Acc, Exact(t));
             black_box(&axpy_pdst);
-        },
-    );
-
-    // Strictly positive factors and their reciprocals: each iteration
-    // multiplies by src then by 1/src, so the destination orbits its
-    // starting point (within an ulp per round trip) instead of
-    // decaying to zero or blowing up over the measurement loop.
-    let hsrc = init::uniform(er, ec, 0.5, 2.0, &mut rng::seeded(14));
-    let hinv = {
-        let mut m = hsrc.clone();
-        for x in m.data_mut() {
-            *x = 1.0 / *x;
-        }
-        m
-    };
-    let mut had_sdst = init::uniform(er, ec, 0.5, 2.0, &mut rng::seeded(15));
-    let mut had_pdst = had_sdst.clone();
-    push_cells(
-        &mut records,
-        "hadamard",
-        format!("2*{er}x{ec}"),
-        "serial_1t",
-        || {
-            kernels::hadamard_assign_with(&mut had_sdst, &hsrc, 1);
-            kernels::hadamard_assign_with(&mut had_sdst, &hinv, 1);
-            black_box(&had_sdst);
-        },
-        |t| {
-            kernels::hadamard_assign_with(&mut had_pdst, &hsrc, t);
-            kernels::hadamard_assign_with(&mut had_pdst, &hinv, t);
-            black_box(&had_pdst);
         },
     );
 
@@ -516,16 +491,20 @@ fn main() {
     // Serving-path catalog scoring: one query against every item row.
     let catalog = init::uniform(20_000, 64, -1.0, 1.0, &mut rng::seeded(18));
     let query: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.37).sin()).collect();
+    let mut serial_scores = vec![0.0f32; catalog.rows()];
+    let mut par_scores = vec![0.0f32; catalog.rows()];
     push_cells(
         &mut records,
         "row_dots",
         "20000x64".into(),
         "serial_1t",
         || {
-            black_box(kernels::row_dots_with(&catalog, &query, 1));
+            kernels::row_dots(&mut serial_scores, &catalog, &query, Exact(1));
+            black_box(&serial_scores);
         },
         |t| {
-            black_box(kernels::row_dots_with(&catalog, &query, t));
+            kernels::row_dots(&mut par_scores, &catalog, &query, Exact(t));
+            black_box(&par_scores);
         },
     );
 

@@ -27,6 +27,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use gnmr::prelude::*;
+use gnmr::tensor::kernels::Threads;
 use gnmr::tensor::{init, par, rng};
 use gnmr_bench::{alloc, output::results_dir};
 
@@ -106,7 +107,7 @@ fn measure(w: &mut Workload, threads: usize, block_ms: u128) -> u128 {
     let start = Instant::now();
     let mut iters = 0u128;
     while start.elapsed().as_millis() < block_ms || iters < 2 {
-        w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, threads);
+        w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, Threads::Exact(threads));
         black_box(&w.out);
         iters += 1;
     }
@@ -118,9 +119,9 @@ fn measure(w: &mut Workload, threads: usize, block_ms: u128) -> u128 {
 /// Must be 0: the catalog score buffer and the selection heap are both
 /// minted by the warmup call and reused forever after.
 fn steady_batch_allocs(w: &mut Workload) -> u64 {
-    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, 1);
+    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, Threads::Exact(1));
     let before = alloc::allocations();
-    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, 1);
+    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, Threads::Exact(1));
     alloc::allocations() - before
 }
 

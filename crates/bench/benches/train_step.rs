@@ -29,13 +29,14 @@
 //! allocation count and fails if it exceeds the committed baseline.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use gnmr::autograd::{Adam, Arena, Ctx, Grads};
+use gnmr::core::hinge_loss;
 use gnmr::graph::{BatchSampler, TrainBatch};
 use gnmr::prelude::*;
-use gnmr::tensor::{init, kernels, par, rng, Matrix};
+use gnmr::tensor::kernels::{self, Mode::Assign, Threads::Exact};
+use gnmr::tensor::{init, par, rng, Matrix};
 use gnmr_bench::{alloc, output::results_dir};
 
 /// Target wall-clock per measurement cell.
@@ -82,22 +83,13 @@ fn workload() -> Workload {
     Workload { model, batch, opt }
 }
 
-/// One full training step (the `Gnmr::fit` inner loop, verbatim shape),
-/// returning the allocation delta of the backward + optimizer region.
+/// One full training step (the `Gnmr::fit` inner loop: its forward and
+/// its loss head, [`hinge_loss`]), returning the allocation delta of
+/// the backward + optimizer region.
 fn train_step(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u64 {
     let mut ctx = Ctx::new(w.model.params());
     let (user_orders, item_orders) = w.model.forward(&mut ctx);
-    let user_all = ctx.g.concat_cols(&user_orders);
-    let item_all = ctx.g.concat_cols(&item_orders);
-    let u = ctx.g.gather_rows(user_all, Arc::new(w.batch.users.clone()));
-    let p = ctx.g.gather_rows(item_all, Arc::new(w.batch.pos_items.clone()));
-    let n = ctx.g.gather_rows(item_all, Arc::new(w.batch.neg_items.clone()));
-    let pos_scores = ctx.g.row_dot(u, p);
-    let neg_scores = ctx.g.row_dot(u, n);
-    let diff = ctx.g.sub(neg_scores, pos_scores);
-    let margin = ctx.g.add_scalar(diff, 1.0);
-    let hinge = ctx.g.relu(margin);
-    let loss = ctx.g.mean(hinge);
+    let loss = hinge_loss(&mut ctx.g, &user_orders, &item_orders, w.batch.clone());
 
     let before = alloc::allocations();
     ctx.grads_into(loss, arena, grads);
@@ -132,7 +124,7 @@ fn steady_state_allocs(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u6
     allocs
 }
 
-/// The packed-matmul probe: `matmul_into_with` on a shape above the
+/// The packed-matmul probe: `matmul` on one thread, on a shape above the
 /// work threshold runs the B-panel-packed tiled kernel, whose pack
 /// scratch is a once-per-thread thread-local. 256x96 * 96x128 clears
 /// `PAR_MIN_WORK` at one thread and packs 16 full 8-wide strips.
@@ -146,9 +138,9 @@ fn pack_workload() -> (Matrix, Matrix, Matrix) {
 /// Allocation count of one packed-path matmul after the pack scratch
 /// has been minted (the steady state `Gnmr::fit` sees). Must be 0.
 fn steady_pack_allocs(dst: &mut Matrix, a: &Matrix, b: &Matrix) -> u64 {
-    kernels::matmul_into_with(dst, a, b, 1); // mints the per-thread pack scratch
+    kernels::matmul(dst, a, b, Assign, Exact(1)); // mints the per-thread pack scratch
     let before = alloc::allocations();
-    kernels::matmul_into_with(dst, a, b, 1);
+    kernels::matmul(dst, a, b, Assign, Exact(1));
     alloc::allocations() - before
 }
 
@@ -289,7 +281,7 @@ fn main() {
         let start = Instant::now();
         let mut iters = 0u128;
         while start.elapsed().as_millis() < round_ms || iters < 5 {
-            kernels::matmul_into_with(&mut pdst, &pa, &pb, 1);
+            kernels::matmul(&mut pdst, &pa, &pb, Assign, Exact(1));
             black_box(&pdst);
             iters += 1;
         }

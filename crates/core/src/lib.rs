@@ -46,7 +46,7 @@ pub use checkpoint::{Checkpointing, TrainCheckpoint};
 pub use config::{GnmrConfig, GnmrVariant, TrainConfig};
 pub use model::Gnmr;
 pub use pretrain::pretrain_embeddings;
-pub use trainer::TrainReport;
+pub use trainer::{hinge_loss, TrainReport};
 
 /// Serializes tests that reconfigure the process-wide kernel dispatch
 /// globals (`par::set_threads` / `kernels::set_min_work`). Without it,

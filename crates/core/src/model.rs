@@ -5,7 +5,8 @@ use std::sync::Arc;
 use gnmr_autograd::{Ctx, ParamStore, Var};
 use gnmr_eval::Recommender;
 use gnmr_graph::MultiBehaviorGraph;
-use gnmr_tensor::{init, kernels, rng, Arena, Csr, Matrix};
+use gnmr_tensor::kernels::{self, Threads};
+use gnmr_tensor::{init, rng, Arena, Csr, Matrix};
 
 use crate::config::GnmrConfig;
 use crate::{attention, fusion, pretrain, type_embedding};
@@ -249,7 +250,8 @@ impl Gnmr {
     /// scan + full-catalog sort.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let (urepr, vrepr) = self.reprs();
-        let scores = kernels::row_dots(vrepr, urepr.row(user as usize));
+        let mut scores = vec![0.0; vrepr.rows()];
+        kernels::row_dots(&mut scores, vrepr, urepr.row(user as usize), Threads::Auto);
         let mut excl = exclude.to_vec();
         excl.sort_unstable();
         let mut scratch = kernels::TopKScratch::new();
@@ -381,7 +383,8 @@ mod tests {
         let (mut model, _) = small_model(GnmrVariant::full(), 1);
         model.refresh_representations();
         let (urepr, vrepr) = model.representations().expect("refreshed");
-        let catalog = kernels::row_dots(vrepr, urepr.row(2));
+        let mut catalog = vec![0.0; vrepr.rows()];
+        kernels::row_dots(&mut catalog, vrepr, urepr.row(2), Threads::Auto);
         for item in 0..vrepr.rows() as u32 {
             assert_eq!(
                 model.score_pair(2, item).to_bits(),
@@ -408,7 +411,8 @@ mod tests {
         let (urepr, vrepr) = model.representations().expect("refreshed");
         let exclude = [9u32, 3, 1]; // deliberately unsorted at the API
         for user in [0u32, 2] {
-            let scores = kernels::row_dots(vrepr, urepr.row(user as usize));
+            let mut scores = vec![0.0; vrepr.rows()];
+            kernels::row_dots(&mut scores, vrepr, urepr.row(user as usize), Threads::Auto);
             let mut reference: Vec<(u32, f32)> = scores
                 .iter()
                 .enumerate()

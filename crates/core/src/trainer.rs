@@ -9,8 +9,8 @@
 use std::io;
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Grads};
-use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
+use gnmr_autograd::{Adam, Ctx, Graph, Grads, Var};
+use gnmr_graph::{BatchSampler, MultiBehaviorGraph, TrainBatch};
 use gnmr_tensor::rng::StateRng;
 use gnmr_tensor::wire;
 
@@ -32,6 +32,26 @@ impl TrainReport {
     pub fn final_loss(&self) -> f32 {
         self.epoch_losses.last().copied().unwrap_or(f32::NAN)
     }
+}
+
+/// The training loss head (paper Eq. 7): gathers the batch's user,
+/// positive-item and negative-item rows of the concatenated multi-order
+/// representations, scores both pairs by `row_dot`, and returns the
+/// mean pairwise hinge `max(0, 1 - pos + neg)` as a 1x1 tape node.
+/// [`Gnmr::fit`] and the train-step bench both build their step's loss
+/// through this one function, so they record the same tape.
+pub fn hinge_loss(g: &mut Graph, user_orders: &[Var], item_orders: &[Var], batch: TrainBatch) -> Var {
+    let user_all = g.concat_cols(user_orders);
+    let item_all = g.concat_cols(item_orders);
+    let u = g.gather_rows(user_all, Arc::new(batch.users));
+    let p = g.gather_rows(item_all, Arc::new(batch.pos_items));
+    let n = g.gather_rows(item_all, Arc::new(batch.neg_items));
+    let pos_scores = g.row_dot(u, p);
+    let neg_scores = g.row_dot(u, n);
+    let diff = g.sub(neg_scores, pos_scores);
+    let margin = g.add_scalar(diff, 1.0);
+    let hinge = g.relu(margin);
+    g.mean(hinge)
 }
 
 impl Gnmr {
@@ -141,18 +161,7 @@ impl Gnmr {
                 }
                 let mut ctx = Ctx::new(&self.store);
                 let (user_orders, item_orders) = self.forward(&mut ctx);
-                let user_all = ctx.g.concat_cols(&user_orders);
-                let item_all = ctx.g.concat_cols(&item_orders);
-
-                let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
-                let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
-                let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
-                let pos_scores = ctx.g.row_dot(u, p);
-                let neg_scores = ctx.g.row_dot(u, n);
-                let diff = ctx.g.sub(neg_scores, pos_scores);
-                let margin = ctx.g.add_scalar(diff, 1.0);
-                let hinge = ctx.g.relu(margin);
-                let loss = ctx.g.mean(hinge);
+                let loss = hinge_loss(&mut ctx.g, &user_orders, &item_orders, batch);
 
                 epoch_loss += ctx.g.value(loss).scalar_value();
                 counted += 1;

@@ -21,7 +21,8 @@
 
 use std::cell::RefCell;
 
-use gnmr_tensor::{kernels, par, Matrix};
+use gnmr_tensor::kernels::{self, Threads};
+use gnmr_tensor::{par, Matrix};
 
 use crate::error::ModelNotReady;
 use crate::snapshot::ModelSnapshot;
@@ -183,12 +184,13 @@ impl ServeIndex {
     /// ascending. Returns up to `k` `(item, score)` pairs in the
     /// deterministic `(score desc, item asc)` order.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        let scores = kernels::row_dots(&self.item_repr, self.user_repr.row(user as usize));
+        let mut scores = vec![0.0; self.item_repr.rows()];
+        kernels::row_dots(&mut scores, &self.item_repr, self.user_repr.row(user as usize), Threads::Auto);
         let mut scratch = kernels::TopKScratch::new();
         kernels::top_k_select_excluding(&scores, k, exclude, &mut scratch).to_vec()
     }
 
-    /// Throughput-shaped query on an explicit thread count: scores
+    /// Throughput-shaped query under an explicit thread policy: scores
     /// `users` and writes each user's top-`k` row into
     /// `out[i * k..(i + 1) * k]`, padding short rows with
     /// `(u32::MAX, f32::NEG_INFINITY)`. The *user batch* is partitioned
@@ -201,7 +203,7 @@ impl ServeIndex {
         k: usize,
         excludes: &ExcludeLists,
         out: &mut [(u32, f32)],
-        threads: usize,
+        threads: Threads,
     ) {
         assert_eq!(
             out.len(),
@@ -222,6 +224,7 @@ impl ServeIndex {
             return;
         }
         let catalog = self.item_repr.rows();
+        let threads = threads.resolve(users.len() * self.item_repr.len());
         par::for_each_row_chunk(out, users.len(), threads, |range, chunk| {
             with_serve_scratch(catalog, |scratch| {
                 for (row, &user) in chunk.chunks_mut(k).zip(&users[range]) {
@@ -238,13 +241,11 @@ impl ServeIndex {
         });
     }
 
-    /// [`ServeIndex::recommend_batch_into_with`] on the shared
-    /// thread-count config (serial below the kernel layer's minimum
-    /// work threshold, like every auto-dispatch kernel entry point).
+    /// [`ServeIndex::recommend_batch_into_with`] under
+    /// [`Threads::Auto`]: serial below the kernel layer's minimum work
+    /// threshold (users × catalog elements), like every kernel call.
     pub fn recommend_batch_into(&self, users: &[u32], k: usize, excludes: &ExcludeLists, out: &mut [(u32, f32)]) {
-        let work = users.len() * self.item_repr.len();
-        let threads = if work < kernels::min_work() { 1 } else { par::num_threads() };
-        self.recommend_batch_into_with(users, k, excludes, out, threads);
+        self.recommend_batch_into_with(users, k, excludes, out, Threads::Auto);
     }
 
     /// Allocating convenience over [`ServeIndex::recommend_batch_into`]:

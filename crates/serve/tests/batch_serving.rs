@@ -3,7 +3,8 @@
 //! count, honor exclusions, and pad deterministically.
 
 use gnmr_serve::{ExcludeLists, ServeIndex};
-use gnmr_tensor::{init, kernels, par, rng, Matrix};
+use gnmr_tensor::kernels::{self, Threads::Exact};
+use gnmr_tensor::{init, par, rng, Matrix};
 use proptest::prelude::*;
 
 /// RAII guard lifting the oversubscription guard so explicit thread
@@ -56,7 +57,7 @@ fn batch_matches_single_user_path_at_every_thread_count() {
 
     for threads in [1, 2, 4] {
         let mut out = vec![(0u32, 0.0f32); users.len() * k];
-        index.recommend_batch_into_with(&users, k, &excludes, &mut out, threads);
+        index.recommend_batch_into_with(&users, k, &excludes, &mut out, Exact(threads));
         for (i, want) in reference.iter().enumerate() {
             let row = &out[i * k..(i + 1) * k];
             assert_eq!(row.len(), want.len(), "user {i}: full rows expected here");
@@ -100,7 +101,7 @@ fn short_rows_are_sentinel_padded_and_stripped() {
     let users = [0u32, 2];
     let k = 9;
     let mut out = vec![(7u32, 7.0f32); users.len() * k];
-    index.recommend_batch_into_with(&users, k, &excludes, &mut out, 1);
+    index.recommend_batch_into_with(&users, k, &excludes, &mut out, Exact(1));
     for row in out.chunks(k) {
         for &(item, score) in &row[..5] {
             assert!(item < 5, "real entries first");
@@ -116,7 +117,7 @@ fn short_rows_are_sentinel_padded_and_stripped() {
     }
     // k = 0: empty rows, nothing touched.
     let mut empty_out: Vec<(u32, f32)> = Vec::new();
-    index.recommend_batch_into_with(&users, 0, &excludes, &mut empty_out, 2);
+    index.recommend_batch_into_with(&users, 0, &excludes, &mut empty_out, Exact(2));
     assert_eq!(index.recommend_batch(&users, 0, &excludes), vec![Vec::new(), Vec::new()]);
 }
 

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::kernels;
+use crate::kernels::{self, Mode, Threads};
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -229,18 +229,18 @@ impl Matrix {
     /// In-place `self += other` (parallel for large matrices — this is
     /// the autodiff tape's gradient-accumulation primitive).
     pub fn add_assign(&mut self, other: &Matrix) {
-        kernels::add_assign(self, other);
+        kernels::add(self, other, Mode::Acc, Threads::Auto);
     }
 
     /// In-place `self += s * other` (axpy; delegates to the fused
     /// kernel layer, parallel for large matrices).
     pub fn add_scaled_assign(&mut self, other: &Matrix, s: f32) {
-        kernels::axpy(self, other, s);
+        kernels::axpy(self, other, s, Mode::Acc, Threads::Auto);
     }
 
     /// In-place `self *= s` (delegates to the fused kernel layer).
     pub fn scale_assign(&mut self, s: f32) {
-        kernels::scale_assign(self, s);
+        kernels::scale(self, s, Threads::Auto);
     }
 
     /// Overwrites every element with `value`.
@@ -280,17 +280,23 @@ impl Matrix {
     /// shapes, a plain i-k-j loop for small ones; results are bitwise
     /// identical at every thread count.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        kernels::matmul(self, other)
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        kernels::matmul(&mut out, self, other, Mode::Acc, Threads::Auto);
+        out
     }
 
     /// `self^T * other` without materializing the transpose.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        kernels::matmul_tn(self, other)
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        kernels::matmul_tn(&mut out, self, other, Mode::Acc, Threads::Auto);
+        out
     }
 
     /// `self * other^T` without materializing the transpose.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        kernels::matmul_nt(self, other)
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        kernels::matmul_nt(&mut out, self, other, Mode::Assign, Threads::Auto);
+        out
     }
 
     /// The transpose.
@@ -435,12 +441,12 @@ impl Matrix {
     }
 
     /// Row-wise dot products of two equally-shaped matrices (`rows x 1`),
-    /// delegated to [`kernels::row_dot_into`] so the forward scores use
+    /// delegated to [`kernels::row_dot`] so the forward scores use
     /// the same canonical lane order as every other dot reduction.
     pub fn row_dot(&self, other: &Matrix) -> Matrix {
         self.assert_same_shape(other, "row_dot");
         let mut out = Matrix::zeros(self.rows, 1);
-        kernels::row_dot_into(&mut out, self, other);
+        kernels::row_dot(&mut out, self, other, Mode::Assign);
         out
     }
 

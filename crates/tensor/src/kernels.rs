@@ -1,19 +1,29 @@
 //! The kernel layer: tiled, thread-parallel implementations of the
-//! workspace's hot linear-algebra loops, plus the serial references they
-//! are tested against. Parallel dispatch runs on the persistent worker
-//! pool in [`crate::par`], so even sub-millisecond kernels pay only a
-//! few microseconds of handoff rather than per-call thread spawns.
+//! workspace's hot linear-algebra loops. Parallel dispatch runs on the
+//! persistent worker pool in [`crate::par`], so even sub-millisecond
+//! kernels pay only a few microseconds of handoff rather than per-call
+//! thread spawns.
 //!
 //! [`Matrix`](crate::Matrix) and [`Csr`](crate::Csr) delegate their
 //! public ops here, so this module is the single landing zone for future
-//! SIMD / backend work. Each kernel has three entry points:
+//! SIMD / backend work. Each op has **one entry point**, writing into a
+//! caller-provided destination; the allocating forms are the `Matrix` /
+//! `Csr` methods. Two arguments replace what used to be name suffixes:
 //!
-//! * `*_serial` — the plain reference loop (also the small-shape path);
-//! * `*_with` — explicit thread count (used by the equivalence tests
-//!   and benches);
-//! * the bare name — resolves the thread count from [`crate::par`] and
-//!   falls back to the serial path below [`min_work`] (default
-//!   [`PAR_MIN_WORK`]).
+//! * a [`Mode`] — [`Mode::Assign`] overwrites the destination,
+//!   [`Mode::Acc`] accumulates into it (BLAS-β style). Which of the two
+//!   accumulate semantics an op uses (*fused* or *streaming*) is part of
+//!   its contract; see [`Mode`];
+//! * a [`Threads`] policy — [`Threads::Auto`] resolves the thread count
+//!   from [`crate::par`] and stays serial below [`min_work`] (default
+//!   [`PAR_MIN_WORK`]); [`Threads::Exact`] pins it (the equivalence
+//!   suites and benches). Ops too small to ever amortize dispatch
+//!   (`transpose`, `mul_col_broadcast`, `row_dot`,
+//!   `softmax_rows_backward`) are serial and take no policy.
+//!
+//! The plain serial reference loops every kernel is pinned against live
+//! with the equivalence suite (`crates/tensor/tests/reference/mod.rs`)
+//! and share no code with this module.
 //!
 //! # Cost-model dispatch
 //!
@@ -66,8 +76,8 @@ pub const PAR_MIN_WORK: usize = 64 * 1024;
 /// [`PAR_MIN_WORK`]".
 static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets (or with `None` clears) the parallel work threshold the
-/// auto-dispatch entry points compare against. `Some(1)` (the floor —
+/// Sets (or with `None` clears) the parallel work threshold
+/// [`Threads::Auto`] compares against. `Some(1)` (the floor —
 /// `Some(0)` is clamped to it) forces every kernel through the
 /// parallel/stealing routes regardless of size, which is how the
 /// equivalence and gradcheck suites exercise those routes on
@@ -82,6 +92,78 @@ pub fn set_min_work(threshold: Option<usize>) {
 pub fn min_work() -> usize {
     let o = MIN_WORK_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 { o } else { PAR_MIN_WORK }
+}
+
+// ----- output mode and thread policy ----------------------------------
+
+/// How a kernel writes its result into the destination: BLAS-β = 0
+/// ([`Mode::Assign`]) or β = 1 ([`Mode::Acc`]). `Assign` never reads the
+/// destination, so dirty arena checkouts are fine.
+///
+/// Every op uses one of two accumulate semantics, named in its doc:
+///
+/// * **fused** ops (`matmul_nt`, `zip_map`, `row_dot`,
+///   `mul_col_broadcast`, `softmax_rows_backward`, `transpose`, `axpy`,
+///   `add`) fold one fully formed value into each element, so `Acc` is
+///   bitwise-equal to materializing the result and `add`ing it, for
+///   **any** destination contents;
+/// * **streaming** ops (`matmul`, `matmul_tn`, `spmm`, `spmm_t`,
+///   `scatter_add_rows`) advance partial sums inside the destination, so
+///   `Acc` equals the product only when the destination starts zeroed,
+///   and their `Assign` is zero-fill-then-stream. For the exact
+///   materialize-then-add float sequence on a non-zero target,
+///   accumulate into a zeroed scratch and `add` it (the tape's
+///   `apply_sum`).
+///
+/// Kernels match the mode once per call, outside their row loops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Overwrite the destination with the result.
+    Assign,
+    /// Accumulate the result into the destination.
+    Acc,
+}
+
+/// How many threads a kernel call runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Threads {
+    /// Serial below [`min_work`] units of work, otherwise the shared
+    /// [`par::num_threads`] config. What production callers use.
+    Auto,
+    /// Exactly this many threads (still subject to the pool's
+    /// oversubscription guard). What the equivalence suites and benches
+    /// use to pin a route.
+    Exact(usize),
+}
+
+impl Threads {
+    /// The thread count for a call doing `work` units of work (the
+    /// kernel's multiply-adds, elements or stored entries).
+    #[inline]
+    pub fn resolve(self, work: usize) -> usize {
+        match self {
+            Threads::Auto if work < min_work() => 1,
+            Threads::Auto => par::num_threads(),
+            Threads::Exact(n) => n,
+        }
+    }
+}
+
+/// The per-element write of every fused row kernel: store (`ACC =
+/// false`) or add (`ACC = true`). A const parameter, so the mode is
+/// resolved at compile time and never branches per element.
+#[inline(always)]
+fn put<const ACC: bool>(o: &mut f32, v: f32) {
+    if ACC {
+        *o += v;
+    } else {
+        *o = v;
+    }
+}
+
+/// Asserts a destination has the result's shape.
+fn assert_dst(dst: &Matrix, (rows, cols): (usize, usize), op: &str) {
+    assert_eq!(dst.shape(), (rows, cols), "{op}: dst is {}x{}, result is {rows}x{cols}", dst.rows(), dst.cols());
 }
 
 // ----- cost-model chunk planning --------------------------------------
@@ -256,21 +338,6 @@ fn add_lanes(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Lane-blocked Hadamard `dst *= src`.
-#[inline(always)]
-fn mul_lanes(dst: &mut [f32], src: &[f32]) {
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let mut sc = src.chunks_exact(LANES);
-    for (db, sb) in (&mut dc).zip(&mut sc) {
-        for l in 0..LANES {
-            db[l] *= sb[l];
-        }
-    }
-    for (o, &x) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *o *= x;
-    }
-}
-
 /// Lane-blocked `dst *= s`.
 #[inline(always)]
 fn scale_lanes(dst: &mut [f32], s: f32) {
@@ -345,17 +412,6 @@ fn pack_b_panel(pack: &mut [f32], b: &[f32], n: usize, krange: Range<usize>, j0:
     }
 }
 
-/// Resolves the thread count for a kernel invocation: serial below
-/// [`min_work`], otherwise the shared [`par::num_threads`] config.
-#[inline]
-fn auto_threads(work: usize) -> usize {
-    if work < min_work() {
-        1
-    } else {
-        par::num_threads()
-    }
-}
-
 // ----- dense matmul ---------------------------------------------------
 
 /// Row-partitioned dispatch for the dense kernels, with the same
@@ -391,21 +447,7 @@ fn assert_matmul(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Serial reference `a * b` (plain i-k-j loop).
-///
-/// Deliberately branch-free in the inner loop — the old zero-skipping
-/// heuristic defeated auto-vectorization on dense inputs; sparsity is
-/// handled by the sparse kernels where it belongs.
-pub fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    matmul_rows_serial(a.data(), k, b.data(), n, 0..m, out.data_mut());
-    out
-}
-
-/// Shared zeroed-target dispatch of [`matmul_with`] /
-/// [`matmul_into_with`]: serial i-k-j below the work threshold,
+/// Dispatch of [`matmul`]: serial i-k-j below the work threshold,
 /// packed-tiled otherwise, row-partitioned across the pool when more
 /// than one effective thread will run.
 fn matmul_dispatch(ad: &[f32], k: usize, bd: &[f32], n: usize, m: usize, threads: usize, out: &mut [f32]) {
@@ -423,40 +465,19 @@ fn matmul_dispatch(ad: &[f32], k: usize, bd: &[f32], n: usize, m: usize, threads
     });
 }
 
-/// `a * b` on an explicit number of threads (packed-tiled when
-/// parallel or large).
-pub fn matmul_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+/// `dst (=|+=) a * b`, *streaming* (see [`Mode`]): packed-tiled when
+/// parallel or large, the plain i-k-j loop for small shapes, bitwise
+/// identical either way. The steady-state entry point for the packed
+/// tiled path: the per-thread pack scratch is minted once and reused
+/// (see [`PACK_BUF`]), so the call allocates nothing.
+pub fn matmul(dst: &mut Matrix, a: &Matrix, b: &Matrix, mode: Mode, threads: Threads) {
     assert_matmul(a, b);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    matmul_dispatch(a.data(), k, b.data(), n, m, threads, out.data_mut());
-    out
-}
-
-/// `a * b` with the shared thread-count config (serial for small
-/// shapes).
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul(a, b);
-    matmul_with(a, b, auto_threads(a.rows() * a.cols() * b.cols()))
-}
-
-/// Writes `a * b` into `dst` (overwriting every element — dirty arena
-/// checkouts are fine) on an explicit number of threads: the
-/// allocation-free form of [`matmul_with`], and the steady-state entry
-/// point for the packed tiled path (the per-thread pack scratch is
-/// minted once and reused — see [`PACK_BUF`]). Bitwise identical to
-/// [`matmul_serial`].
-pub fn matmul_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
-    assert_matmul(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(dst.shape(), (m, n), "matmul_into: dst is {}x{}, product is {m}x{n}", dst.rows(), dst.cols());
-    dst.data_mut().fill(0.0);
-    matmul_dispatch(a.data(), k, b.data(), n, m, threads, dst.data_mut());
-}
-
-/// Writes `a * b` into `dst` with the shared thread-count config.
-pub fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_into_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
+    assert_dst(dst, (m, n), "matmul");
+    if mode == Mode::Assign {
+        dst.data_mut().fill(0.0);
+    }
+    matmul_dispatch(a.data(), k, b.data(), n, m, threads.resolve(m * k * n), dst.data_mut());
 }
 
 /// Computes output rows `rows` of `a (m x k) * b (k x n)` into the
@@ -655,53 +676,21 @@ fn assert_matmul_tn(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Serial reference `a^T * b` without materializing the transpose.
-pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_tn(a, b);
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_tn_rows(a.data(), a.rows(), a.cols(), b.data(), b.cols(), 0..a.cols(), out.data_mut());
-    out
-}
-
-/// `a^T * b` on an explicit number of threads (output rows — columns of
-/// `a` — are partitioned across workers).
-pub fn matmul_tn_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_tn_acc_with(&mut out, a, b, threads);
-    out
-}
-
-/// Accumulates `a^T * b` into `dst` on an explicit number of threads —
-/// the arena-checkout form of [`matmul_tn_with`], allocating nothing.
-///
-/// The kernel streams partial sums into `dst` (one add per `i` step),
-/// so results are **bitwise identical to [`matmul_tn_serial`] when
-/// `dst` starts zeroed** — the checkout pattern the autodiff tape uses
-/// ([`crate::arena`]). A non-zero `dst` folds the partial sums into the
-/// existing values progressively; callers needing the exact
-/// materialize-then-`add_assign` float sequence on a non-zero target
-/// should accumulate into a zeroed scratch checkout and `add_assign`
-/// it, which is what the tape does.
-pub fn matmul_tn_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
+/// `dst (=|+=) a^T * b` without materializing the transpose,
+/// *streaming* (see [`Mode`]): one add per `i` step into each output
+/// element. Output rows — columns of `a` — are partitioned across
+/// workers.
+pub fn matmul_tn(dst: &mut Matrix, a: &Matrix, b: &Matrix, mode: Mode, threads: Threads) {
     assert_matmul_tn(a, b);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(dst.shape(), (k, n), "matmul_tn_acc: dst is {}x{}, product is {k}x{n}", dst.rows(), dst.cols());
+    assert_dst(dst, (k, n), "matmul_tn");
+    if mode == Mode::Assign {
+        dst.data_mut().fill(0.0);
+    }
     let (ad, bd) = (a.data(), b.data());
-    dense_rows_dispatch(dst.data_mut(), k, threads, |krows, chunk| {
+    dense_rows_dispatch(dst.data_mut(), k, threads.resolve(m * k * n), |krows, chunk| {
         matmul_tn_rows(ad, m, k, bd, n, krows, chunk);
     });
-}
-
-/// Accumulates `a^T * b` into `dst` with the shared thread-count
-/// config.
-pub fn matmul_tn_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_tn_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
-}
-
-/// `a^T * b` with the shared thread-count config.
-pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_tn(a, b);
-    matmul_tn_with(a, b, auto_threads(a.rows() * a.cols() * b.cols()))
 }
 
 /// Computes output rows `krows` (columns of `a`) of `a^T (k x m) *
@@ -822,77 +811,34 @@ fn assert_matmul_nt(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Serial reference `a * b^T` without materializing the transpose.
-pub fn matmul_nt_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_nt(a, b);
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_nt_rows(a.data(), a.cols(), b.data(), b.rows(), 0..a.rows(), out.data_mut());
-    out
-}
-
-/// `a * b^T` on an explicit number of threads.
-pub fn matmul_nt_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_nt_into_with(&mut out, a, b, threads);
-    out
-}
-
-/// Writes `a * b^T` into `dst` (overwriting every element) on an
-/// explicit number of threads — the arena-checkout form of
-/// [`matmul_nt_with`]. Every output element is an independent register
-/// dot product assigned once, so `dst`'s prior contents never matter
-/// (dirty checkouts are fine) and the bytes match [`matmul_nt_serial`]
-/// exactly.
-pub fn matmul_nt_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
+/// `dst (=|+=) a * b^T` without materializing the transpose, *fused*
+/// (see [`Mode`]): each output element's dot product is completed in a
+/// register in the canonical lane order, then stored or folded into
+/// `dst` with a single add.
+pub fn matmul_nt(dst: &mut Matrix, a: &Matrix, b: &Matrix, mode: Mode, threads: Threads) {
     assert_matmul_nt(a, b);
     let (m, k, p) = (a.rows(), a.cols(), b.rows());
-    assert_eq!(dst.shape(), (m, p), "matmul_nt_into: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
+    assert_dst(dst, (m, p), "matmul_nt");
+    let threads = threads.resolve(m * k * p);
     let (ad, bd) = (a.data(), b.data());
-    dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_nt_rows(ad, k, bd, p, rows, chunk);
-    });
-}
-
-/// Writes `a * b^T` into `dst` with the shared thread-count config.
-pub fn matmul_nt_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_nt_into_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.rows()));
-}
-
-/// Accumulates `a * b^T` into `dst` (`dst += a * b^T`) on an explicit
-/// number of threads. Each output element's dot product is fully
-/// accumulated in a register (ascending `k`, exactly the
-/// [`matmul_nt_serial`] order) and then folded into `dst` with a
-/// single add — bitwise identical to materializing the product and
-/// `add_assign`ing it, for **any** `dst` contents, without allocating.
-pub fn matmul_nt_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
-    assert_matmul_nt(a, b);
-    let (m, k, p) = (a.rows(), a.cols(), b.rows());
-    assert_eq!(dst.shape(), (m, p), "matmul_nt_acc: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
-    let (ad, bd) = (a.data(), b.data());
-    dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_nt_acc_rows(ad, k, bd, p, rows, chunk);
-    });
-}
-
-/// Accumulates `a * b^T` into `dst` with the shared thread-count
-/// config.
-pub fn matmul_nt_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_nt_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.rows()));
-}
-
-/// `a * b^T` with the shared thread-count config.
-pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_nt(a, b);
-    matmul_nt_with(a, b, auto_threads(a.rows() * a.cols() * b.rows()))
+    match mode {
+        Mode::Assign => dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
+            matmul_nt_rows::<false>(ad, k, bd, p, rows, chunk);
+        }),
+        Mode::Acc => dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
+            matmul_nt_rows::<true>(ad, k, bd, p, rows, chunk);
+        }),
+    }
 }
 
 /// Each output element is an independent [`dot_lanes`] dot product in
-/// the canonical lane order; the 4×-unrolled body ([`dot_lanes_x4`])
-/// computes four adjacent output columns per pass so `arow` is re-read
-/// from registers/L1 instead of streamed once per column. Per-element
-/// lane sequences are unchanged between the unrolled and remainder
-/// paths, so they produce identical bytes.
-fn matmul_nt_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, out: &mut [f32]) {
+/// the canonical lane order, stored or added per `ACC` (see [`put`]);
+/// the 4×-unrolled body ([`dot_lanes_x4`]) computes four adjacent
+/// output columns per pass so `arow` is re-read from registers/L1
+/// instead of streamed once per column. Per-element lane sequences are
+/// unchanged between the unrolled and remainder paths, so they produce
+/// identical bytes.
+fn matmul_nt_rows<const ACC: bool>(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, out: &mut [f32]) {
     for (local, i) in rows.enumerate() {
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[local * p..(local + 1) * p];
@@ -905,152 +851,16 @@ fn matmul_nt_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, 
                 &b[(j + 2) * k..(j + 3) * k],
                 &b[(j + 3) * k..(j + 4) * k],
             );
-            orow[j] = d[0];
-            orow[j + 1] = d[1];
-            orow[j + 2] = d[2];
-            orow[j + 3] = d[3];
+            put::<ACC>(&mut orow[j], d[0]);
+            put::<ACC>(&mut orow[j + 1], d[1]);
+            put::<ACC>(&mut orow[j + 2], d[2]);
+            put::<ACC>(&mut orow[j + 3], d[3]);
             j += MICRO_MR;
         }
         for j in j..p {
-            orow[j] = dot_lanes(arow, &b[j * k..(j + 1) * k]);
+            put::<ACC>(&mut orow[j], dot_lanes(arow, &b[j * k..(j + 1) * k]));
         }
     }
-}
-
-/// The accumulate twin of [`matmul_nt_rows`]: identical lane dot
-/// products (same 4× unroll, same canonical lane order), but the
-/// fully-formed dot is *added* to the output element instead of
-/// assigned — one add per element, matching the
-/// materialize-then-`add_assign` float sequence exactly.
-fn matmul_nt_acc_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, out: &mut [f32]) {
-    for (local, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * p..(local + 1) * p];
-        let mut j = 0usize;
-        while j + MICRO_MR <= p {
-            let d = dot_lanes_x4(
-                arow,
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-            );
-            orow[j] += d[0];
-            orow[j + 1] += d[1];
-            orow[j + 2] += d[2];
-            orow[j + 3] += d[3];
-            j += MICRO_MR;
-        }
-        for j in j..p {
-            orow[j] += dot_lanes(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// Accumulates `a * b` into `dst` (`dst += a * b`) on an explicit
-/// number of threads. Like [`matmul_nt_acc_with`], every output
-/// element's product sum is completed in a register (ascending `k`,
-/// the [`matmul_serial`] per-element order) before a single add into
-/// `dst`, so the result is bitwise identical to
-/// materialize-then-`add_assign` for any `dst` — the fused form of
-/// the tape's allocate-then-combine gradient accumulation. (The
-/// forward-product entry points keep the streaming i-k-j kernel,
-/// which has better locality when the target starts zeroed.)
-pub fn matmul_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
-    assert_matmul(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(dst.shape(), (m, n), "matmul_acc: dst is {}x{}, product is {m}x{n}", dst.rows(), dst.cols());
-    let (ad, bd) = (a.data(), b.data());
-    dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_acc_rows(ad, k, bd, n, rows, chunk);
-    });
-}
-
-/// Row kernel of [`matmul_acc_with`]: each output element's product
-/// sum is completed in its own lane-register slot (one accumulator per
-/// element, ascending `k` — the [`matmul_serial`] per-element order)
-/// before the single add into the output, processed as 4x8 register
-/// tiles so each `b` lane block is shared across four rows. Remainder
-/// rows and columns run the plain scalar dot in the same order.
-fn matmul_acc_rows(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
-    let nrows = rows.len();
-    if nrows == 0 || n == 0 {
-        return;
-    }
-    let strips = n / LANES;
-    let jt = strips * LANES;
-    let mut local = 0usize;
-    while local + MICRO_MR <= nrows {
-        let i = rows.start + local;
-        let ar0 = &a[i * k..(i + 1) * k];
-        let ar1 = &a[(i + 1) * k..(i + 2) * k];
-        let ar2 = &a[(i + 2) * k..(i + 3) * k];
-        let ar3 = &a[(i + 3) * k..(i + 4) * k];
-        let (r0, rest) = out[local * n..].split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
-        for s in 0..strips {
-            let js = s * LANES;
-            let mut c0 = [0.0f32; LANES];
-            let mut c1 = [0.0f32; LANES];
-            let mut c2 = [0.0f32; LANES];
-            let mut c3 = [0.0f32; LANES];
-            for (kk, (((&a0, &a1), &a2), &a3)) in
-                ar0.iter().zip(ar1).zip(ar2).zip(ar3).enumerate()
-            {
-                let brow = &b[kk * n + js..kk * n + js + LANES];
-                for l in 0..LANES {
-                    c0[l] += a0 * brow[l];
-                    c1[l] += a1 * brow[l];
-                    c2[l] += a2 * brow[l];
-                    c3[l] += a3 * brow[l];
-                }
-            }
-            for l in 0..LANES {
-                r0[js + l] += c0[l];
-                r1[js + l] += c1[l];
-                r2[js + l] += c2[l];
-                r3[js + l] += c3[l];
-            }
-        }
-        for j in jt..n {
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            let mut acc2 = 0.0f32;
-            let mut acc3 = 0.0f32;
-            for (kk, (((&a0, &a1), &a2), &a3)) in
-                ar0.iter().zip(ar1).zip(ar2).zip(ar3).enumerate()
-            {
-                let bv = b[kk * n + j];
-                acc0 += a0 * bv;
-                acc1 += a1 * bv;
-                acc2 += a2 * bv;
-                acc3 += a3 * bv;
-            }
-            r0[j] += acc0;
-            r1[j] += acc1;
-            r2[j] += acc2;
-            r3[j] += acc3;
-        }
-        local += MICRO_MR;
-    }
-    for local in local..nrows {
-        let i = rows.start + local;
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * n..(local + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (kk, &av) in arow.iter().enumerate() {
-                acc += av * b[kk * n + j];
-            }
-            *o += acc;
-        }
-    }
-}
-
-/// Accumulates `a * b` into `dst` with the shared thread-count config.
-pub fn matmul_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
 }
 
 // ----- sparse matmul --------------------------------------------------
@@ -1067,46 +877,23 @@ fn assert_spmm(csr: &Csr, dense: &Matrix) {
     );
 }
 
-/// Serial reference sparse x dense product.
-pub fn spmm_serial(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm(csr, dense);
-    let mut out = Matrix::zeros(csr.rows(), dense.cols());
-    spmm_rows(csr, dense.data(), dense.cols(), 0..csr.rows(), out.data_mut());
-    out
-}
-
-/// Sparse x dense product on an explicit number of threads (output rows
-/// are partitioned; each CSR row is consumed by exactly one worker).
+/// Sparse x dense product `dst (=|+=) csr * dense`, *streaming* (see
+/// [`Mode`]): per-entry partial sums stream into `dst`. Output rows are
+/// partitioned; each CSR row is consumed by exactly one worker.
 ///
 /// The chunk plan comes from the cost model: uniform-degree matrices
 /// get static row chunks, skewed ones get nnz-balanced chunks under
 /// the work-stealing schedule — same bytes either way, because each
 /// output row is still produced by exactly one thread in the serial
 /// accumulation order.
-pub fn spmm_with(csr: &Csr, dense: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.rows(), dense.cols());
-    spmm_acc_with(&mut out, csr, dense, threads);
-    out
-}
-
-/// Accumulates the sparse x dense product into `dst` on an explicit
-/// number of threads — the arena-checkout form of [`spmm_with`],
-/// allocating nothing. Streams per-entry partial sums into `dst`, so
-/// results are **bitwise identical to [`spmm_serial`] when `dst`
-/// starts zeroed** (the tape's checkout pattern); accumulate into a
-/// zeroed scratch and `add_assign` for the materialize-then-add float
-/// sequence on a non-zero target.
-pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
+pub fn spmm(dst: &mut Matrix, csr: &Csr, dense: &Matrix, mode: Mode, threads: Threads) {
     assert_spmm(csr, dense);
     let d = dense.cols();
-    assert_eq!(
-        dst.shape(),
-        (csr.rows(), d),
-        "spmm_acc: dst is {}x{}, product is {}x{d}",
-        dst.rows(),
-        dst.cols(),
-        csr.rows()
-    );
+    assert_dst(dst, (csr.rows(), d), "spmm");
+    if mode == Mode::Assign {
+        dst.data_mut().fill(0.0);
+    }
+    let threads = threads.resolve(csr.nnz() * d);
     let dd = dense.data();
     if threads <= 1 || csr.rows() == 0 {
         spmm_rows(csr, dd, d, 0..csr.rows(), dst.data_mut());
@@ -1116,18 +903,6 @@ pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize
     par::for_each_row_chunk_ranges(dst.data_mut(), csr.rows(), &ranges, threads, schedule, |rows, chunk| {
         spmm_rows(csr, dd, d, rows, chunk);
     });
-}
-
-/// Accumulates the sparse x dense product into `dst` with the shared
-/// thread-count config.
-pub fn spmm_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
-    spmm_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
-}
-
-/// Sparse x dense product with the shared thread-count config.
-pub fn spmm(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm(csr, dense);
-    spmm_with(csr, dense, auto_threads(csr.nnz() * dense.cols()))
 }
 
 fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, rows: Range<usize>, out: &mut [f32]) {
@@ -1158,15 +933,9 @@ fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
     );
 }
 
-/// Serial reference transposed sparse x dense product (`csr^T * dense`).
-pub fn spmm_t_serial(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm_t(csr, dense);
-    let mut out = Matrix::zeros(csr.cols(), dense.cols());
-    spmm_t_cols(csr, dense.data(), dense.cols(), 0..csr.cols(), out.data_mut());
-    out
-}
-
-/// `csr^T * dense` on an explicit number of threads.
+/// Transposed sparse x dense product `dst (=|+=) csr^T * dense`,
+/// *streaming* (see [`Mode`]), allocating nothing beyond the lazily
+/// cached column-major index the parallel path shares.
 ///
 /// Output rows correspond to CSR *columns*. The parallel path streams
 /// the matrix's lazily built column-major companion index
@@ -1178,34 +947,19 @@ pub fn spmm_t_serial(csr: &Csr, dense: &Matrix) -> Matrix {
 /// for stealing when column degrees are skewed. Entries within a
 /// column are ordered by ascending CSR row, exactly the serial
 /// scatter's accumulation order, so results stay bitwise identical to
-/// [`spmm_t_serial`] at every thread count.
-pub fn spmm_t_with(csr: &Csr, dense: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.cols(), dense.cols());
-    spmm_t_acc_with(&mut out, csr, dense, threads);
-    out
-}
-
-/// Accumulates `csr^T * dense` into `dst` on an explicit number of
-/// threads — the arena-checkout form of [`spmm_t_with`], allocating
-/// nothing beyond the lazily cached column-major index the parallel
-/// path already shares. Same bitwise contract as [`spmm_acc_with`]:
-/// identical to [`spmm_t_serial`] when `dst` starts zeroed.
-pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
+/// the serial reference at every thread count.
+pub fn spmm_t(dst: &mut Matrix, csr: &Csr, dense: &Matrix, mode: Mode, threads: Threads) {
     assert_spmm_t(csr, dense);
     let d = dense.cols();
-    assert_eq!(
-        dst.shape(),
-        (csr.cols(), d),
-        "spmm_t_acc: dst is {}x{}, product is {}x{d}",
-        dst.rows(),
-        dst.cols(),
-        csr.cols()
-    );
+    assert_dst(dst, (csr.cols(), d), "spmm_t");
+    if mode == Mode::Assign {
+        dst.data_mut().fill(0.0);
+    }
     let dd = dense.data();
     // Plan and dispatch with the parallelism the call will actually
     // get — the same count `Csr::prewarm_spmm_t` plans with, so the
     // prewarm decision and the runtime schedule can never disagree.
-    let threads = par::effective_parallelism(threads);
+    let threads = par::effective_parallelism(threads.resolve(csr.nnz() * d));
     // The serial scatter is the best single-thread algorithm (each CSR
     // row's dense operand stays register/L1-resident), so it also
     // serves any call the oversubscription guard will run on one
@@ -1266,18 +1020,6 @@ pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usi
     }
 }
 
-/// `csr^T * dense` with the shared thread-count config.
-pub fn spmm_t(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm_t(csr, dense);
-    spmm_t_with(csr, dense, auto_threads(csr.nnz() * dense.cols()))
-}
-
-/// Accumulates `csr^T * dense` into `dst` with the shared thread-count
-/// config.
-pub fn spmm_t_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
-    spmm_t_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
-}
-
 fn spmm_t_cols(csr: &Csr, dense: &[f32], d: usize, crange: Range<usize>, out: &mut [f32]) {
     for r in 0..csr.rows() {
         let (cols, vals) = csr.row(r);
@@ -1295,42 +1037,14 @@ fn spmm_t_cols(csr: &Csr, dense: &[f32], d: usize, crange: Range<usize>, out: &m
 }
 
 // ----- elementwise / gradient accumulation ----------------------------
-
-/// In-place `dst += src` on an explicit number of threads.
-pub fn add_assign_with(dst: &mut Matrix, src: &Matrix, threads: usize) {
-    assert_eq!(
-        dst.shape(),
-        src.shape(),
-        "add_assign: shape mismatch {}x{} vs {}x{}",
-        dst.rows(),
-        dst.cols(),
-        src.rows(),
-        src.cols()
-    );
-    let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        add_lanes(chunk, &sd[range]);
-    });
-}
-
-/// In-place `dst += src` with the shared thread-count config. This is
-/// the gradient-accumulation primitive of the autodiff tape.
-pub fn add_assign(dst: &mut Matrix, src: &Matrix) {
-    let work = dst.len();
-    add_assign_with(dst, src, auto_threads(work));
-}
-
-// ----- fused in-place elementwise kernels -----------------------------
 //
-// The arena-backed backward pass replaces its allocate-then-combine
-// pattern (`tmp = f(g); dst.add_assign(&tmp)`) with these fused forms.
-// Every kernel below hands each output element exactly one
-// fully-formed value (assigned by the `*_into` forms, folded in with a
-// single add by the `*_acc`/axpy forms), so results are bitwise
-// identical to the allocating two-step sequence at every thread count
-// and for any destination contents. Elementwise work is
-// embarrassingly parallel: chunks partition the flat buffer and any
+// The arena-backed backward pass accumulates gradients in place through
+// these kernels. All but the streaming `scatter_add_rows` are *fused*
+// (see [`Mode`]): they hand each output element exactly one fully formed
+// value, stored by `Assign` or folded in with a single add by `Acc`, so
+// results are bitwise identical to the allocating two-step sequence at
+// every thread count and for any destination contents. Elementwise work
+// is embarrassingly parallel: chunks partition the flat buffer and any
 // partition yields the same bytes.
 
 fn assert_same_shape(dst: &Matrix, src: &Matrix, op: &str) {
@@ -1345,192 +1059,93 @@ fn assert_same_shape(dst: &Matrix, src: &Matrix, op: &str) {
     );
 }
 
-/// In-place `dst += s * src` (axpy) on an explicit number of threads.
-pub fn axpy_with(dst: &mut Matrix, src: &Matrix, s: f32, threads: usize) {
+/// `dst (=|+=) src`, *fused*: `Assign` copies, `Acc` is the autodiff
+/// tape's gradient-accumulation primitive.
+pub fn add(dst: &mut Matrix, src: &Matrix, mode: Mode, threads: Threads) {
+    assert_same_shape(dst, src, "add");
+    let n = dst.len();
+    let threads = threads.resolve(n);
+    let sd = src.data();
+    match mode {
+        Mode::Assign => par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
+            chunk.copy_from_slice(&sd[range]);
+        }),
+        Mode::Acc => par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
+            add_lanes(chunk, &sd[range]);
+        }),
+    }
+}
+
+/// `dst (=|+=) s * src` (`Acc` is axpy), *fused*.
+pub fn axpy(dst: &mut Matrix, src: &Matrix, s: f32, mode: Mode, threads: Threads) {
     assert_same_shape(dst, src, "axpy");
     let n = dst.len();
+    let threads = threads.resolve(n);
     let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        axpy_lanes(chunk, &sd[range], s);
-    });
+    match mode {
+        Mode::Assign => par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
+            scale_store_lanes(chunk, &sd[range], s);
+        }),
+        Mode::Acc => par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
+            axpy_lanes(chunk, &sd[range], s);
+        }),
+    }
 }
 
-/// In-place `dst += s * src` with the shared thread-count config.
-pub fn axpy(dst: &mut Matrix, src: &Matrix, s: f32) {
-    let work = dst.len();
-    axpy_with(dst, src, s, auto_threads(work));
-}
-
-/// `dst = s * src` (overwriting every element, so dirty arena
-/// checkouts are fine) on an explicit number of threads.
-pub fn scale_into_with(dst: &mut Matrix, src: &Matrix, s: f32, threads: usize) {
-    assert_same_shape(dst, src, "scale_into");
+/// In-place `dst *= s` (an update of `dst` itself, so it has no mode).
+pub fn scale(dst: &mut Matrix, s: f32, threads: Threads) {
     let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        scale_store_lanes(chunk, &sd[range], s);
-    });
-}
-
-/// `dst = s * src` with the shared thread-count config.
-pub fn scale_into(dst: &mut Matrix, src: &Matrix, s: f32) {
-    let work = dst.len();
-    scale_into_with(dst, src, s, auto_threads(work));
-}
-
-/// In-place `dst *= s` on an explicit number of threads.
-pub fn scale_assign_with(dst: &mut Matrix, s: f32, threads: usize) {
-    let n = dst.len();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |_, chunk| {
+    par::for_each_row_chunk(dst.data_mut(), n, threads.resolve(n), |_, chunk| {
         scale_lanes(chunk, s);
     });
 }
 
-/// In-place `dst *= s` with the shared thread-count config.
-pub fn scale_assign(dst: &mut Matrix, s: f32) {
-    let work = dst.len();
-    scale_assign_with(dst, s, auto_threads(work));
-}
-
-/// In-place Hadamard product `dst *= src` on an explicit number of
-/// threads.
-pub fn hadamard_assign_with(dst: &mut Matrix, src: &Matrix, threads: usize) {
-    assert_same_shape(dst, src, "hadamard_assign");
-    let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        mul_lanes(chunk, &sd[range]);
-    });
-}
-
-/// In-place Hadamard product `dst *= src` with the shared thread-count
-/// config.
-pub fn hadamard_assign(dst: &mut Matrix, src: &Matrix) {
-    let work = dst.len();
-    hadamard_assign_with(dst, src, auto_threads(work));
-}
-
-/// In-place zip `dst[i] = f(dst[i], src[i])` on an explicit number of
-/// threads. `f` must be pure — chunks may evaluate it in any order.
-pub fn zip_map_assign_with<F>(dst: &mut Matrix, src: &Matrix, f: F, threads: usize)
+/// `dst[i] (=|+=) f(a[i], b[i])`, *fused*. `f` must be pure — chunks
+/// may evaluate it in any order.
+pub fn zip_map<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F, mode: Mode, threads: Threads)
 where
     F: Fn(f32, f32) -> f32 + Sync,
 {
-    assert_same_shape(dst, src, "zip_map_assign");
-    let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        for (o, &x) in chunk.iter_mut().zip(&sd[range]) {
-            *o = f(*o, x);
-        }
-    });
-}
-
-/// In-place zip `dst[i] = f(dst[i], src[i])` with the shared
-/// thread-count config.
-pub fn zip_map_assign<F>(dst: &mut Matrix, src: &Matrix, f: F)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    let work = dst.len();
-    zip_map_assign_with(dst, src, f, auto_threads(work));
-}
-
-/// `dst[i] = f(a[i], b[i])` (overwrites every element; dirty arena
-/// checkouts are fine) on an explicit number of threads.
-pub fn zip_map_into_with<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F, threads: usize)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    assert_same_shape(dst, a, "zip_map_into");
-    assert_same_shape(a, b, "zip_map_into");
-    let n = dst.len();
-    let (ad, bd) = (a.data(), b.data());
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        // gnmr-analyze: allow(hot-alloc) -- Range<usize>::clone is a stack copy of two words, no heap traffic
-        for ((o, &x), &y) in chunk.iter_mut().zip(&ad[range.clone()]).zip(&bd[range]) {
-            *o = f(x, y);
-        }
-    });
-}
-
-/// `dst[i] = f(a[i], b[i])` with the shared thread-count config.
-pub fn zip_map_into<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    let work = dst.len();
-    zip_map_into_with(dst, a, b, f, auto_threads(work));
-}
-
-/// `dst[i] += f(a[i], b[i])` — one add of a fully-formed value per
-/// element, bitwise-equal to materializing `f(a, b)` and
-/// `add_assign`ing it — on an explicit number of threads.
-pub fn zip_map_acc_with<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F, threads: usize)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    assert_same_shape(dst, a, "zip_map_acc");
-    assert_same_shape(a, b, "zip_map_acc");
-    let n = dst.len();
-    let (ad, bd) = (a.data(), b.data());
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        // gnmr-analyze: allow(hot-alloc) -- Range<usize>::clone is a stack copy of two words, no heap traffic
-        for ((o, &x), &y) in chunk.iter_mut().zip(&ad[range.clone()]).zip(&bd[range]) {
-            *o += f(x, y);
-        }
-    });
-}
-
-/// `dst[i] += f(a[i], b[i])` with the shared thread-count config.
-pub fn zip_map_acc<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    let work = dst.len();
-    zip_map_acc_with(dst, a, b, f, auto_threads(work));
-}
-
-/// `dst = src^T` (overwrites every element) — the assign form of the
-/// transpose backward contribution.
-pub fn transpose_into(dst: &mut Matrix, src: &Matrix) {
-    assert_eq!(
-        (dst.rows(), dst.cols()),
-        (src.cols(), src.rows()),
-        "transpose_into: dst is {}x{}, transpose is {}x{}",
-        dst.rows(),
-        dst.cols(),
-        src.cols(),
-        src.rows()
-    );
-    let (r, c) = (src.rows(), src.cols());
-    let sd = src.data();
-    let dd = dst.data_mut();
-    for i in 0..r {
-        for j in 0..c {
-            dd[j * r + i] = sd[i * c + j];
-        }
+    assert_same_shape(dst, a, "zip_map");
+    assert_same_shape(a, b, "zip_map");
+    let threads = threads.resolve(dst.len());
+    match mode {
+        Mode::Assign => zip_map_chunks::<false, F>(dst, a.data(), b.data(), &f, threads),
+        Mode::Acc => zip_map_chunks::<true, F>(dst, a.data(), b.data(), &f, threads),
     }
 }
 
-/// `dst += src^T` — one add of a fully-formed value per element,
-/// bitwise-equal to materializing the transpose and `add_assign`ing.
-pub fn transpose_acc(dst: &mut Matrix, src: &Matrix) {
-    assert_eq!(
-        (dst.rows(), dst.cols()),
-        (src.cols(), src.rows()),
-        "transpose_acc: dst is {}x{}, transpose is {}x{}",
-        dst.rows(),
-        dst.cols(),
-        src.cols(),
-        src.rows()
-    );
+/// The chunked body of [`zip_map`], storing or adding per `ACC`.
+fn zip_map_chunks<const ACC: bool, F>(dst: &mut Matrix, ad: &[f32], bd: &[f32], f: &F, threads: usize)
+where
+    F: Fn(f32, f32) -> f32 + Sync,
+{
+    let n = dst.len();
+    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
+        // gnmr-analyze: allow(hot-alloc) -- Range<usize>::clone is a stack copy of two words, no heap traffic
+        for ((o, &x), &y) in chunk.iter_mut().zip(&ad[range.clone()]).zip(&bd[range]) {
+            put::<ACC>(o, f(x, y));
+        }
+    });
+}
+
+/// `dst (=|+=) src^T`, *fused*: the transpose backward contribution.
+pub fn transpose(dst: &mut Matrix, src: &Matrix, mode: Mode) {
+    assert_dst(dst, (src.cols(), src.rows()), "transpose");
+    match mode {
+        Mode::Assign => transpose_rows::<false>(dst, src),
+        Mode::Acc => transpose_rows::<true>(dst, src),
+    }
+}
+
+/// The loop of [`transpose`], storing or adding per `ACC`.
+fn transpose_rows<const ACC: bool>(dst: &mut Matrix, src: &Matrix) {
     let (r, c) = (src.rows(), src.cols());
     let sd = src.data();
     let dd = dst.data_mut();
     for i in 0..r {
         for j in 0..c {
-            dd[j * r + i] += sd[i * c + j];
+            put::<ACC>(&mut dd[j * r + i], sd[i * c + j]);
         }
     }
 }
@@ -1540,26 +1155,22 @@ fn assert_mul_col(dst: &Matrix, src: &Matrix, col: &Matrix, op: &str) {
     assert_eq!(col.shape(), (src.rows(), 1), "{op}: col must be {}x1", src.rows());
 }
 
-/// `dst[r, c] = src[r, c] * col[r]` — the assign form of
-/// `src.mul_col_broadcast(col)` (overwrites every element; dirty arena
-/// checkouts are fine). Serial: the tape's broadcast backward rows are
-/// too small to amortize dispatch.
-pub fn mul_col_broadcast_into(dst: &mut Matrix, src: &Matrix, col: &Matrix) {
-    assert_mul_col(dst, src, col, "mul_col_broadcast_into");
-    for r in 0..src.rows() {
-        let s = col.get(r, 0);
-        scale_store_lanes(dst.row_mut(r), src.row(r), s);
-    }
-}
-
-/// `dst[r, c] += src[r, c] * col[r]` — one add of a fully-formed value
-/// per element, bitwise-equal to materializing the broadcast product
-/// and `add_assign`ing it.
-pub fn mul_col_broadcast_acc(dst: &mut Matrix, src: &Matrix, col: &Matrix) {
-    assert_mul_col(dst, src, col, "mul_col_broadcast_acc");
-    for r in 0..src.rows() {
-        let s = col.get(r, 0);
-        axpy_lanes(dst.row_mut(r), src.row(r), s);
+/// `dst[r, c] (=|+=) src[r, c] * col[r]`, *fused*: the in-place form of
+/// `src.mul_col_broadcast(col)`. Serial: the tape's broadcast backward
+/// rows are too small to amortize dispatch.
+pub fn mul_col_broadcast(dst: &mut Matrix, src: &Matrix, col: &Matrix, mode: Mode) {
+    assert_mul_col(dst, src, col, "mul_col_broadcast");
+    match mode {
+        Mode::Assign => {
+            for r in 0..src.rows() {
+                scale_store_lanes(dst.row_mut(r), src.row(r), col.get(r, 0));
+            }
+        }
+        Mode::Acc => {
+            for r in 0..src.rows() {
+                axpy_lanes(dst.row_mut(r), src.row(r), col.get(r, 0));
+            }
+        }
     }
 }
 
@@ -1568,23 +1179,21 @@ fn assert_row_dot(dst: &Matrix, a: &Matrix, b: &Matrix, op: &str) {
     assert_eq!(dst.shape(), (a.rows(), 1), "{op}: dst must be {}x1", a.rows());
 }
 
-/// `dst[r, 0] = sum_c a[r, c] * b[r, c]` — the assign form of
-/// `a.row_dot(b)`, each row a [`dot_lanes`] dot in the canonical lane
-/// order (which `Matrix::row_dot` itself delegates to).
-pub fn row_dot_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    assert_row_dot(dst, a, b, "row_dot_into");
-    for r in 0..a.rows() {
-        dst.data_mut()[r] = dot_lanes(a.row(r), b.row(r));
+/// `dst[r, 0] (=|+=) sum_c a[r, c] * b[r, c]`, *fused*: each row a
+/// [`dot_lanes`] dot in the canonical lane order (which
+/// `Matrix::row_dot` itself delegates to).
+pub fn row_dot(dst: &mut Matrix, a: &Matrix, b: &Matrix, mode: Mode) {
+    assert_row_dot(dst, a, b, "row_dot");
+    match mode {
+        Mode::Assign => row_dot_rows::<false>(dst, a, b),
+        Mode::Acc => row_dot_rows::<true>(dst, a, b),
     }
 }
 
-/// `dst[r, 0] += sum_c a[r, c] * b[r, c]` — the fully-formed dot is
-/// folded in with a single add per row, bitwise-equal to materializing
-/// `a.row_dot(b)` and `add_assign`ing it.
-pub fn row_dot_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    assert_row_dot(dst, a, b, "row_dot_acc");
+/// The loop of [`row_dot`], storing or adding per `ACC`.
+fn row_dot_rows<const ACC: bool>(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     for r in 0..a.rows() {
-        dst.data_mut()[r] += dot_lanes(a.row(r), b.row(r));
+        put::<ACC>(&mut dst.data_mut()[r], dot_lanes(a.row(r), b.row(r)));
     }
 }
 
@@ -1593,41 +1202,34 @@ fn assert_softmax_backward(dst: &Matrix, g: &Matrix, y: &Matrix, op: &str) {
     assert_eq!(dst.shape(), y.shape(), "{op}: dst shape mismatch");
 }
 
-/// Row-softmax backward, assign form: `dst = y * (g - rowsum(g * y))`.
+/// Row-softmax backward, *fused*: `dst (=|+=) y * (g - rowsum(g * y))`.
 /// The row total is a [`dot_lanes`] accumulation of `g[c] * y[c]` in
 /// the canonical lane order — since the lane rewrite, this (not a
 /// scalar `g.hadamard(y).row_sums()` sweep) is the reference sequence
 /// the equivalence suite replays.
-pub fn softmax_rows_backward_into(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
-    assert_softmax_backward(dst, g, y, "softmax_rows_backward_into");
+pub fn softmax_rows_backward(dst: &mut Matrix, g: &Matrix, y: &Matrix, mode: Mode) {
+    assert_softmax_backward(dst, g, y, "softmax_rows_backward");
+    match mode {
+        Mode::Assign => softmax_backward_rows::<false>(dst, g, y),
+        Mode::Acc => softmax_backward_rows::<true>(dst, g, y),
+    }
+}
+
+/// The loop of [`softmax_rows_backward`], storing or adding per `ACC`.
+fn softmax_backward_rows<const ACC: bool>(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
     for r in 0..y.rows() {
         let (yrow, grow) = (y.row(r), g.row(r));
         let t = dot_lanes(grow, yrow);
         let drow = dst.row_mut(r);
         for c in 0..yrow.len() {
-            drow[c] = yrow[c] * (grow[c] - t);
+            put::<ACC>(&mut drow[c], yrow[c] * (grow[c] - t));
         }
     }
 }
 
-/// Row-softmax backward, accumulate form: `dst += y * (g - rowsum(g *
-/// y))`, one add of a fully-formed value per element. Same
-/// canonical-lane row total as [`softmax_rows_backward_into`].
-pub fn softmax_rows_backward_acc(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
-    assert_softmax_backward(dst, g, y, "softmax_rows_backward_acc");
-    for r in 0..y.rows() {
-        let (yrow, grow) = (y.row(r), g.row(r));
-        let t = dot_lanes(grow, yrow);
-        let drow = dst.row_mut(r);
-        for c in 0..yrow.len() {
-            drow[c] += yrow[c] * (grow[c] - t);
-        }
-    }
-}
-
-/// Scatter-add: `dst.row(indices[o]) += src.row(o)` for every `o`, on
-/// an explicit number of threads (this is the backward pass of
-/// `gather_rows`).
+/// Scatter-add, *streaming* (see [`Mode`]): `dst.row(indices[o]) +=
+/// src.row(o)` for every `o` — the backward pass of `gather_rows`.
+/// `Assign` zero-fills `dst` first.
 ///
 /// The parallel path first buckets the source positions by destination
 /// row with a stable counting sort (O(indices + rows), once per call),
@@ -1641,14 +1243,18 @@ pub fn softmax_rows_backward_acc(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
 ///
 /// # Panics
 /// If shapes disagree or any index is out of bounds.
-pub fn scatter_add_rows_with(dst: &mut Matrix, indices: &[u32], src: &Matrix, threads: usize) {
+pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix, mode: Mode, threads: Threads) {
     assert_eq!(src.rows(), indices.len(), "scatter_add_rows: index count mismatch");
     assert_eq!(src.cols(), dst.cols(), "scatter_add_rows: column count mismatch");
     let rows = dst.rows();
     for &idx in indices {
         assert!((idx as usize) < rows, "scatter_add_rows: index {idx} out of bounds for {rows} rows");
     }
+    if mode == Mode::Assign {
+        dst.data_mut().fill(0.0);
+    }
     let d = dst.cols();
+    let threads = threads.resolve(indices.len() * d);
     let sd = src.data();
     if threads <= 1 || rows == 0 || indices.is_empty() {
         // Serial reference: straight scatter in source order. Per
@@ -1687,57 +1293,37 @@ pub fn scatter_add_rows_with(dst: &mut Matrix, indices: &[u32], src: &Matrix, th
     });
 }
 
-/// Scatter-add with the shared thread-count config.
-pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix) {
-    let work = indices.len() * dst.cols();
-    scatter_add_rows_with(dst, indices, src, auto_threads(work));
-}
-
-/// Dot product of every row of `mat` against `vec`, on an explicit
-/// number of threads. This is the full-catalog scoring primitive; each
-/// row is a [`dot_lanes`] dot in the canonical lane order.
-pub fn row_dots_with(mat: &Matrix, vec: &[f32], threads: usize) -> Vec<f32> {
+/// `dst[r] = <mat.row(r), vec>` for every row — the full-catalog
+/// scoring primitive, each row a [`dot_lanes`] dot in the canonical
+/// lane order. Always assigns: a score sweep has no accumulate form.
+pub fn row_dots(dst: &mut [f32], mat: &Matrix, vec: &[f32], threads: Threads) {
     assert_eq!(mat.cols(), vec.len(), "row_dots: vector length {} != {} cols", vec.len(), mat.cols());
+    assert_eq!(dst.len(), mat.rows(), "row_dots: dst length {} != {} rows", dst.len(), mat.rows());
     let d = mat.cols();
     let md = mat.data();
-    let mut out = vec![0.0f32; mat.rows()];
-    par::for_each_row_chunk(&mut out, mat.rows(), threads, |range, chunk| {
+    par::for_each_row_chunk(dst, mat.rows(), threads.resolve(mat.len()), |range, chunk| {
         for (o, r) in chunk.iter_mut().zip(range) {
             *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
         }
     });
-    out
-}
-
-/// Row dots with the shared thread-count config.
-pub fn row_dots(mat: &Matrix, vec: &[f32]) -> Vec<f32> {
-    row_dots_with(mat, vec, auto_threads(mat.len()))
 }
 
 /// Canonical fixed-lane dot product of two equal-length slices — the
 /// single-pair scoring primitive. Exposed so every scoring surface
-/// (`Gnmr::score_pair`, the full-catalog [`row_dots`] family, the
-/// serve-crate batch path) reduces in the exact same lane order and
-/// therefore agrees bitwise on every (user, item) pair.
+/// (`Gnmr::score_pair`, the full-catalog [`row_dots`], the serve-crate
+/// batch path) reduces in the exact same lane order and therefore
+/// agrees bitwise on every (user, item) pair.
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch {} vs {}", x.len(), y.len());
     dot_lanes(x, y)
 }
 
-/// Serial [`row_dots`] into a caller-provided buffer:
-/// `dst[r] = <mat.row(r), vec>` in the canonical lane order. The
-/// batched serving path calls this once per user *inside* pool workers
-/// (each worker scores into its own thread-local catalog buffer), so it
-/// is deliberately serial — nested dispatch would run inline anyway —
-/// and allocation-free.
+/// Serial [`row_dots`]. The batched serving path calls this once per
+/// user *inside* pool workers (each worker scores into its own
+/// thread-local catalog buffer), so it is deliberately serial — nested
+/// dispatch would run inline anyway — and allocation-free.
 pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
-    assert_eq!(mat.cols(), vec.len(), "row_dots_into: vector length {} != {} cols", vec.len(), mat.cols());
-    assert_eq!(dst.len(), mat.rows(), "row_dots_into: dst length {} != {} rows", dst.len(), mat.rows());
-    let d = mat.cols();
-    let md = mat.data();
-    for (r, o) in dst.iter_mut().enumerate() {
-        *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
-    }
+    row_dots(dst, mat, vec, Threads::Exact(1));
 }
 
 // ----- top-k partial selection ----------------------------------------
@@ -1957,18 +1543,14 @@ fn select_into_buf(scores: &[f32], k: usize, exclude: &[u32], buf: &mut Vec<(u32
     buf.sort_unstable_by(sel_cmp);
 }
 
-/// Top-`k` indices and scores of `scores`, in the deterministic
-/// `(score desc, index asc)` order, via bounded partial selection —
-/// O(n + k log k) instead of the full-catalog argsort. Returns fewer
-/// than `k` entries when the catalog is smaller; the result is exactly
-/// the prefix a full `(score desc, index asc)` sort would produce.
-pub fn top_k_select<'s>(scores: &[f32], k: usize, scratch: &'s mut TopKScratch) -> &'s [(u32, f32)] {
-    top_k_select_excluding(scores, k, &[], scratch)
-}
-
-/// [`top_k_select`] with an ascending exclusion list (seen items,
-/// training interactions). Excluded indices never appear in the result;
-/// ties and order are identical to filtering *before* a full sort.
+/// Top-`k` indices and scores of `scores`, skipping the ascending
+/// exclusion list (seen items, training interactions; pass `&[]` for
+/// none), in the deterministic `(score desc, index asc)` order, via
+/// bounded partial selection — O(n + k log k) instead of the
+/// full-catalog argsort. Returns fewer than `k` entries when the
+/// catalog is smaller; the result is exactly the prefix a full
+/// `(score desc, index asc)` sort of the non-excluded candidates would
+/// produce.
 pub fn top_k_select_excluding<'s>(
     scores: &[f32],
     k: usize,
@@ -1977,7 +1559,7 @@ pub fn top_k_select_excluding<'s>(
 ) -> &'s [(u32, f32)] {
     assert!(
         scores.len() <= u32::MAX as usize,
-        "top_k_select: catalog of {} rows exceeds u32 index space",
+        "top_k_select_excluding: catalog of {} rows exceeds u32 index space",
         scores.len()
     );
     assert!(
@@ -1996,13 +1578,26 @@ mod tests {
         Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 7) as f32 * 0.13 + seed).sin())
     }
 
+    /// A fresh zeroed `rows x cols` destination after `f` wrote into it.
+    fn run(rows: usize, cols: usize, f: impl FnOnce(&mut Matrix)) -> Matrix {
+        let mut out = Matrix::zeros(rows, cols);
+        f(&mut out);
+        out
+    }
+
+    /// The plain i-k-j row kernel over every row: the small-shape path
+    /// the tiled and parallel routes must reproduce bitwise.
+    fn matmul_rows_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        run(a.rows(), b.cols(), |o| matmul_rows_serial(a.data(), a.cols(), b.data(), b.cols(), 0..a.rows(), o.data_mut()))
+    }
+
     #[test]
     fn matmul_variants_agree_bitwise() {
         let a = mat(9, 17, 0.1);
         let b = mat(17, 23, 0.7);
-        let reference = matmul_serial(&a, &b);
+        let reference = matmul_rows_reference(&a, &b);
         for threads in [1, 2, 3, 4] {
-            let got = matmul_with(&a, &b, threads);
+            let got = run(9, 23, |o| matmul(o, &a, &b, Mode::Acc, Threads::Exact(threads)));
             assert_eq!(got.data(), reference.data(), "threads={threads}");
         }
     }
@@ -2013,8 +1608,8 @@ mod tests {
         // partial edge tiles.
         let a = mat(5, TILE_K + 3, 0.2);
         let b = mat(TILE_K + 3, TILE_J + 5, 0.4);
-        let reference = matmul_serial(&a, &b);
-        let got = matmul_with(&a, &b, 2);
+        let reference = matmul_rows_reference(&a, &b);
+        let got = run(5, TILE_J + 5, |o| matmul(o, &a, &b, Mode::Acc, Threads::Exact(2)));
         assert_eq!(got.data(), reference.data());
     }
 
@@ -2022,10 +1617,10 @@ mod tests {
     fn matmul_into_overwrites_dirty_dst() {
         let a = mat(7, 9, 0.2);
         let b = mat(9, 11, 0.5);
-        let reference = matmul_serial(&a, &b);
+        let reference = matmul_rows_reference(&a, &b);
         for threads in [1, 3] {
             let mut dst = Matrix::ones(7, 11);
-            matmul_into_with(&mut dst, &a, &b, threads);
+            matmul(&mut dst, &a, &b, Mode::Assign, Threads::Exact(threads));
             assert_eq!(dst.data(), reference.data(), "threads={threads}");
         }
     }
@@ -2034,10 +1629,10 @@ mod tests {
     fn tn_and_nt_match_explicit_transpose() {
         let a = mat(8, 6, 0.3);
         let b = mat(8, 5, 0.9);
-        let tn = matmul_tn_with(&a, &b, 3);
+        let tn = run(6, 5, |o| matmul_tn(o, &a, &b, Mode::Assign, Threads::Exact(3)));
         assert!(tn.approx_eq(&a.transpose().matmul(&b), 1e-5));
         let c = mat(10, 6, 0.5);
-        let nt = matmul_nt_with(&a, &c, 3);
+        let nt = run(8, 10, |o| matmul_nt(o, &a, &c, Mode::Assign, Threads::Exact(3)));
         assert!(nt.approx_eq(&a.matmul(&c.transpose()), 1e-5));
     }
 
@@ -2049,14 +1644,16 @@ mod tests {
             &[(0, 1, 1.0), (0, 4, -2.0), (2, 0, 3.0), (2, 1, 0.5), (5, 4, 1.5), (5, 0, -1.0)],
         );
         let x = mat(5, 7, 0.6);
-        let reference = spmm_serial(&csr, &x);
+        let reference = run(6, 7, |o| spmm_rows(&csr, x.data(), 7, 0..6, o.data_mut()));
         for threads in [1, 2, 4] {
-            assert_eq!(spmm_with(&csr, &x, threads).data(), reference.data());
+            let got = run(6, 7, |o| spmm(o, &csr, &x, Mode::Acc, Threads::Exact(threads)));
+            assert_eq!(got.data(), reference.data());
         }
         let xt = mat(6, 7, 0.8);
-        let reference_t = spmm_t_serial(&csr, &xt);
+        let reference_t = run(5, 7, |o| spmm_t_cols(&csr, xt.data(), 7, 0..5, o.data_mut()));
         for threads in [1, 2, 4] {
-            assert_eq!(spmm_t_with(&csr, &xt, threads).data(), reference_t.data());
+            let got = run(5, 7, |o| spmm_t(o, &csr, &xt, Mode::Acc, Threads::Exact(threads)));
+            assert_eq!(got.data(), reference_t.data());
         }
     }
 
@@ -2064,7 +1661,7 @@ mod tests {
     fn scatter_add_duplicates_accumulate() {
         let mut dst = Matrix::zeros(4, 2);
         let src = mat(3, 2, 0.0);
-        scatter_add_rows_with(&mut dst, &[1, 1, 3], &src, 4);
+        scatter_add_rows(&mut dst, &[1, 1, 3], &src, Mode::Acc, Threads::Exact(4));
         let mut expected = Matrix::zeros(4, 2);
         for (o, &idx) in [1u32, 1, 3].iter().enumerate() {
             for c in 0..2 {
@@ -2079,14 +1676,15 @@ mod tests {
     fn scatter_add_rejects_bad_index() {
         let mut dst = Matrix::zeros(2, 2);
         let src = Matrix::ones(1, 2);
-        scatter_add_rows(&mut dst, &[5], &src);
+        scatter_add_rows(&mut dst, &[5], &src, Mode::Acc, Threads::Auto);
     }
 
     #[test]
     fn row_dots_matches_manual() {
         let m = mat(12, 5, 0.4);
         let v: Vec<f32> = (0..5).map(|i| i as f32 * 0.2 - 0.3).collect();
-        let got = row_dots_with(&m, &v, 3);
+        let mut got = vec![0.0; 12];
+        row_dots(&mut got, &m, &v, Threads::Exact(3));
         for (r, &g) in got.iter().enumerate() {
             let expect: f32 = m.row(r).iter().zip(&v).map(|(a, b)| a * b).sum();
             assert!((g - expect).abs() < 1e-6);
@@ -2097,11 +1695,11 @@ mod tests {
     fn empty_shapes_are_fine() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 4);
-        assert_eq!(matmul_with(&a, &b, 4).shape(), (0, 4));
+        assert_eq!(run(0, 4, |o| matmul(o, &a, &b, Mode::Assign, Threads::Exact(4))).shape(), (0, 4));
         let c = Matrix::zeros(3, 0);
-        assert_eq!(matmul_with(&b.transpose(), &c, 4).shape(), (4, 0));
+        assert_eq!(run(4, 0, |o| matmul(o, &b.transpose(), &c, Mode::Assign, Threads::Exact(4))).shape(), (4, 0));
         let e = Csr::empty(0, 0);
-        assert_eq!(spmm_with(&e, &Matrix::zeros(0, 2), 4).shape(), (0, 2));
-        assert_eq!(spmm_t_with(&e, &Matrix::zeros(0, 2), 4).shape(), (0, 2));
+        assert_eq!(run(0, 2, |o| spmm(o, &e, &Matrix::zeros(0, 2), Mode::Assign, Threads::Exact(4))).shape(), (0, 2));
+        assert_eq!(run(0, 2, |o| spmm_t(o, &e, &Matrix::zeros(0, 2), Mode::Assign, Threads::Exact(4))).shape(), (0, 2));
     }
 }

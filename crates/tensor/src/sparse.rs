@@ -17,7 +17,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
-use crate::kernels;
+use crate::kernels::{self, Mode, Threads};
 use crate::par;
 
 /// A coordinate-format sparse matrix builder.
@@ -61,24 +61,14 @@ impl Coo {
     /// insertion order. Large conversions run on the shared worker
     /// pool.
     pub fn to_csr(self) -> Csr {
-        let threads = auto_build_threads(self.entries.len());
-        build_csr(self.rows, self.cols, self.entries, threads)
+        self.to_csr_with(Threads::Auto)
     }
 
-    /// [`Coo::to_csr`] on an explicit number of threads (used by the
-    /// equivalence tests and benches).
-    pub fn to_csr_with(self, threads: usize) -> Csr {
+    /// [`Coo::to_csr`] under an explicit thread policy (the equivalence
+    /// tests pin `Threads::Exact`); the work is the entry count.
+    pub fn to_csr_with(self, threads: Threads) -> Csr {
+        let threads = threads.resolve(self.entries.len());
         build_csr(self.rows, self.cols, self.entries, threads)
-    }
-}
-
-/// Thread count for CSR construction/normalization: serial below
-/// [`kernels::min_work`] stored entries, otherwise the shared config.
-fn auto_build_threads(nnz: usize) -> usize {
-    if nnz < kernels::min_work() {
-        1
-    } else {
-        par::num_threads()
     }
 }
 
@@ -284,21 +274,22 @@ impl Csr {
     /// shared worker pool; results are bitwise identical to the serial
     /// path.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
-        Self::from_triplets_with(rows, cols, triplets, auto_build_threads(triplets.len()))
+        Self::from_triplets_with(rows, cols, triplets, Threads::Auto)
     }
 
-    /// [`Csr::from_triplets`] on an explicit number of threads (used by
-    /// the equivalence tests and benches).
+    /// [`Csr::from_triplets`] under an explicit thread policy (the
+    /// equivalence tests pin `Threads::Exact`); the work is the triplet
+    /// count.
     pub fn from_triplets_with(
         rows: usize,
         cols: usize,
         triplets: &[(u32, u32, f32)],
-        threads: usize,
+        threads: Threads,
     ) -> Self {
         for &(r, c, _) in triplets {
             assert!((r as usize) < rows && (c as usize) < cols, "Csr::from_triplets: ({r},{c}) out of bounds for {rows}x{cols}");
         }
-        build_csr(rows, cols, triplets.to_vec(), threads)
+        build_csr(rows, cols, triplets.to_vec(), threads.resolve(triplets.len()))
     }
 
     /// An empty (all-zero) CSR.
@@ -448,7 +439,9 @@ impl Csr {
     /// Delegates to the kernel layer, which partitions output rows
     /// across the shared worker pool for large products.
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
-        crate::kernels::spmm(self, dense)
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        kernels::spmm(&mut out, self, dense, Mode::Acc, Threads::Auto);
+        out
     }
 
     /// Transposed sparse x dense product: `self^T (c x r) * dense (r x d)`.
@@ -457,7 +450,9 @@ impl Csr {
     /// The parallel kernel partitions output rows (CSR columns) so the
     /// scatter writes stay race-free and deterministic.
     pub fn spmm_t(&self, dense: &Matrix) -> Matrix {
-        crate::kernels::spmm_t(self, dense)
+        let mut out = Matrix::zeros(self.cols, dense.cols());
+        kernels::spmm_t(&mut out, self, dense, Mode::Acc, Threads::Auto);
+        out
     }
 
     /// The transposed CSR (materialized).
@@ -479,11 +474,13 @@ impl Csr {
     /// worker pool; each row is scaled by exactly one thread, so the
     /// result is bitwise identical at every thread count.
     pub fn row_normalized(&self) -> Csr {
-        self.row_normalized_with(auto_build_threads(self.nnz()))
+        self.row_normalized_with(Threads::Auto)
     }
 
-    /// [`Csr::row_normalized`] on an explicit number of threads.
-    pub fn row_normalized_with(&self, threads: usize) -> Csr {
+    /// [`Csr::row_normalized`] under an explicit thread policy; the work
+    /// is the stored-entry count.
+    pub fn row_normalized_with(&self, threads: Threads) -> Csr {
+        let threads = threads.resolve(self.nnz());
         let mut out = self.clone();
         if threads <= 1 || self.rows == 0 {
             normalize_rows_span(&mut out.values, &out.indptr, 0..self.rows, 0);
@@ -502,11 +499,13 @@ impl Csr {
     /// entries. Large matrices scale on the shared worker pool with
     /// bitwise-identical results at every thread count.
     pub fn sym_normalized(&self) -> Csr {
-        self.sym_normalized_with(auto_build_threads(self.nnz()))
+        self.sym_normalized_with(Threads::Auto)
     }
 
-    /// [`Csr::sym_normalized`] on an explicit number of threads.
-    pub fn sym_normalized_with(&self, threads: usize) -> Csr {
+    /// [`Csr::sym_normalized`] under an explicit thread policy; the work
+    /// is the stored-entry count.
+    pub fn sym_normalized_with(&self, threads: Threads) -> Csr {
+        let threads = threads.resolve(self.nnz());
         let mut col_deg = vec![0.0f32; self.cols];
         for &c in &self.indices {
             col_deg[c as usize] += 1.0;

@@ -86,12 +86,12 @@ pub fn argsort_desc(xs: &[f32]) -> Vec<usize> {
 
 /// Indices of the `k` largest values, in descending order of value
 /// (ties: ascending index). Delegates to the bounded partial selection
-/// in [`kernels::top_k_select`] — O(n + k log k) instead of the
+/// in [`kernels::top_k_select_excluding`] — O(n + k log k) instead of the
 /// historical full `argsort_desc` + truncate — and returns the exact
 /// prefix that full sort would.
 pub fn top_k(xs: &[f32], k: usize) -> Vec<usize> {
     let mut scratch = kernels::TopKScratch::new();
-    kernels::top_k_select(xs, k, &mut scratch).iter().map(|&(i, _)| i as usize).collect()
+    kernels::top_k_select_excluding(xs, k, &[], &mut scratch).iter().map(|&(i, _)| i as usize).collect()
 }
 
 /// The 0-based rank `position` of element `target` when `xs` is sorted

@@ -9,32 +9,35 @@
 //! an exact contract — the dedicated tests at the bottom pin the exact
 //! version down.
 
-use gnmr_tensor::{kernels, par, Csr, Matrix};
+mod reference;
+
+use gnmr_tensor::kernels::{
+    self,
+    Mode::{Acc, Assign},
+    Threads::{self, Auto, Exact},
+};
+use gnmr_tensor::{par, Csr, Matrix};
 use proptest::prelude::*;
+use reference::{lane_dot_ref, matmul_nt_on, matmul_on, matmul_tn_on, spmm_on, spmm_t_on, written};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const TOL: f32 = 1e-5;
 
-/// Plain scalar replay of the canonical `kernels::LANES = 8` reduction
-/// order: lane `l` accumulates the elements at indices ≡ `l` (mod 8) —
-/// the remainder of a non-multiple-of-8 length starts at an index
-/// ≡ 0 (mod 8), so an element's position within the remainder *is* its
-/// lane — and the eight partials collapse through the fixed pairwise
-/// tree `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))`. Deliberately
-/// shares no code with the kernels: this is the executable spec the
-/// bitwise assertions below compare every dot-reduction entry point
-/// against.
-fn lane_dot_ref(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len());
-    let mut acc = [0.0f32; kernels::LANES];
-    for (i, (&a, &b)) in x.iter().zip(y).enumerate() {
-        acc[i % kernels::LANES] += a * b;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+/// The garbage destinations every `Mode::Assign` assertion runs
+/// against: the finite `dirty` one, and the same shape filled with NaN
+/// — a kernel that reads `dst` under `Assign`, even only to multiply it
+/// by zero, turns the NaN one into NaN output.
+fn garbage(dirty: &Matrix) -> [Matrix; 2] {
+    [dirty.clone(), Matrix::filled(dirty.rows(), dirty.cols(), f32::NAN)]
+}
+
+/// A deterministic non-zero destination of the given shape.
+fn dirty(rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) as f32 * 0.37).sin())
 }
 
 /// RAII guard lifting the oversubscription guard for one test body: an
-/// explicit `set_threads` override makes `*_with(t)` run the genuine
+/// explicit `set_threads` override makes `Threads::Exact(t)` run the genuine
 /// parallel/stealing code paths even on a single-core machine (where
 /// implicit config would inline them serially). Dropped on any exit —
 /// including proptest's early assert-returns — so the global never
@@ -122,9 +125,9 @@ fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
 proptest! {
     #[test]
     fn matmul_matches_serial((a, b) in matmul_inputs()) {
-        let reference = kernels::matmul_serial(&a, &b);
+        let reference = reference::matmul_serial(&a, &b);
         for &t in &THREADS {
-            let got = kernels::matmul_with(&a, &b, t);
+            let got = matmul_on(&a, &b, t);
             prop_assert_eq!(got.shape(), reference.shape());
             prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
         }
@@ -132,9 +135,9 @@ proptest! {
 
     #[test]
     fn matmul_tn_matches_serial((a, b) in tn_inputs()) {
-        let reference = kernels::matmul_tn_serial(&a, &b);
+        let reference = reference::matmul_tn_serial(&a, &b);
         for &t in &THREADS {
-            let got = kernels::matmul_tn_with(&a, &b, t);
+            let got = matmul_tn_on(&a, &b, t);
             prop_assert_eq!(got.shape(), reference.shape());
             prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
         }
@@ -142,9 +145,9 @@ proptest! {
 
     #[test]
     fn matmul_nt_matches_serial((a, b) in nt_inputs()) {
-        let reference = kernels::matmul_nt_serial(&a, &b);
+        let reference = reference::matmul_nt_serial(&a, &b);
         for &t in &THREADS {
-            let got = kernels::matmul_nt_with(&a, &b, t);
+            let got = matmul_nt_on(&a, &b, t);
             prop_assert_eq!(got.shape(), reference.shape());
             prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
         }
@@ -152,13 +155,13 @@ proptest! {
 
     #[test]
     fn spmm_and_spmm_t_match_serial((csr, x, xt) in sparse_inputs()) {
-        let reference = kernels::spmm_serial(&csr, &x);
-        let reference_t = kernels::spmm_t_serial(&csr, &xt);
+        let reference = reference::spmm_serial(&csr, &x);
+        let reference_t = reference::spmm_t_serial(&csr, &xt);
         for &t in &THREADS {
-            let got = kernels::spmm_with(&csr, &x, t);
+            let got = spmm_on(&csr, &x, t);
             prop_assert_eq!(got.shape(), reference.shape());
             prop_assert!(got.max_abs_diff(&reference) <= TOL, "spmm threads={}", t);
-            let got_t = kernels::spmm_t_with(&csr, &xt, t);
+            let got_t = spmm_t_on(&csr, &xt, t);
             prop_assert_eq!(got_t.shape(), reference_t.shape());
             prop_assert!(got_t.max_abs_diff(&reference_t) <= TOL, "spmm_t threads={}", t);
         }
@@ -169,7 +172,7 @@ proptest! {
         // Cross-check the whole sparse path against the dense one.
         let dense = csr.to_dense().matmul(&x);
         for &t in &THREADS {
-            prop_assert!(kernels::spmm_with(&csr, &x, t).max_abs_diff(&dense) <= 1e-4);
+            prop_assert!(spmm_on(&csr, &x, t).max_abs_diff(&dense) <= 1e-4);
         }
     }
 
@@ -178,12 +181,12 @@ proptest! {
         // Skewed shapes take the nnz-weighted stealing plan; the
         // contract there is exact, not approximate.
         let _caps = ThreadOverride::lift_caps();
-        let reference = kernels::spmm_serial(&csr, &x);
-        let reference_t = kernels::spmm_t_serial(&csr, &xt);
+        let reference = reference::spmm_serial(&csr, &x);
+        let reference_t = reference::spmm_t_serial(&csr, &xt);
         for &t in &THREADS {
-            let got = kernels::spmm_with(&csr, &x, t);
+            let got = spmm_on(&csr, &x, t);
             prop_assert_eq!(got.data(), reference.data(), "spmm threads={}", t);
-            let got_t = kernels::spmm_t_with(&csr, &xt, t);
+            let got_t = spmm_t_on(&csr, &xt, t);
             prop_assert_eq!(got_t.data(), reference_t.data(), "spmm_t threads={}", t);
         }
     }
@@ -191,11 +194,11 @@ proptest! {
     #[test]
     fn skewed_normalization_matches_serial((csr, _x, _xt) in skewed_sparse_inputs()) {
         let _caps = ThreadOverride::lift_caps();
-        let row_ref = csr.row_normalized_with(1);
-        let sym_ref = csr.sym_normalized_with(1);
+        let row_ref = csr.row_normalized_with(Exact(1));
+        let sym_ref = csr.sym_normalized_with(Exact(1));
         for &t in &THREADS[1..] {
-            prop_assert_eq!(&csr.row_normalized_with(t), &row_ref, "row threads={}", t);
-            prop_assert_eq!(&csr.sym_normalized_with(t), &sym_ref, "sym threads={}", t);
+            prop_assert_eq!(&csr.row_normalized_with(Exact(t)), &row_ref, "row threads={}", t);
+            prop_assert_eq!(&csr.sym_normalized_with(Exact(t)), &sym_ref, "sym threads={}", t);
         }
     }
 
@@ -214,10 +217,10 @@ proptest! {
             .map(|i| if (i + seed) % 10 < 9 { hot } else { (i * 7 + seed) % rows as u32 })
             .collect();
         let mut reference = Matrix::zeros(rows, src.cols());
-        kernels::scatter_add_rows_with(&mut reference, &indices, &src, 1);
+        kernels::scatter_add_rows(&mut reference, &indices, &src, Acc, Exact(1));
         for &t in &THREADS[1..] {
             let mut dst = Matrix::zeros(rows, src.cols());
-            kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
+            kernels::scatter_add_rows(&mut dst, &indices, &src, Acc, Exact(t));
             prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
         }
     }
@@ -238,30 +241,38 @@ proptest! {
         }
         for &t in &THREADS {
             let mut dst = Matrix::zeros(rows, src.cols());
-            kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
+            kernels::scatter_add_rows(&mut dst, &indices, &src, Acc, Exact(t));
             prop_assert!(dst.max_abs_diff(&reference) <= TOL, "threads={}", t);
+            // Streaming Assign zero-fills first: a garbage destination
+            // yields the same bytes as the zeroed accumulate.
+            for mut dirty in garbage(&dirty(rows, src.cols())) {
+                kernels::scatter_add_rows(&mut dirty, &indices, &src, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), dst.data(), "assign threads={}", t);
+            }
         }
     }
 }
 
-// ----- fused in-place kernels (arena path) ----------------------------
+// ----- in-place kernels (arena path) -----------------------------------
 //
-// Every `*_assign` / `*_acc` / `*_into` kernel must be bitwise-equal to
-// its allocate-then-combine reference (materialize the contribution,
-// then `+=` it element-wise — spelled out as plain loops below so the
-// reference never shares code with the kernel under test). The
-// fully-fused kernels hold that contract for ANY destination contents;
-// the streaming accumulators (`matmul_tn_acc`, `spmm_acc`,
-// `spmm_t_acc`) hold it for the zeroed checkouts the tape feeds them,
-// where the reference degenerates to the allocating kernel itself.
+// Every fused kernel in `Mode::Acc` must be bitwise-equal to its
+// allocate-then-combine reference (materialize the contribution, then
+// `+=` it element-wise — spelled out as plain loops below so the
+// reference never shares code with the kernel under test), for ANY
+// destination contents, and in `Mode::Assign` must overwrite a garbage
+// destination (finite and NaN) with exactly the contribution. The
+// streaming kernels (`matmul_tn`, `spmm`, `spmm_t`) hold the `Acc`
+// contract for the zeroed checkouts the tape feeds them, where the
+// reference degenerates to the product itself, and their `Assign` must
+// ignore whatever the destination held.
 
 /// `(dst, src)` with matching shapes for the elementwise fused kernels.
 fn elementwise_inputs() -> impl Strategy<Value = (Matrix, Matrix)> {
     (0usize..10, 0usize..10).prop_flat_map(|(r, c)| (matrix(r, c), matrix(r, c)))
 }
 
-/// `(a, b, dst)` for `dst += a * b` (dst is `m x n`).
-fn matmul_acc_inputs() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
+/// `(a, b, dst)` for `dst = a * b` (dst is `m x n`).
+fn matmul_dst_inputs() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
     (0usize..10, 0usize..10, 0usize..10)
         .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n), matrix(m, n)))
 }
@@ -286,7 +297,7 @@ proptest! {
         }
         for &t in &THREADS {
             let mut dst = dst0.clone();
-            kernels::axpy_with(&mut dst, &src, s, t);
+            kernels::axpy(&mut dst, &src, s, Acc, Exact(t));
             prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
         }
     }
@@ -298,83 +309,75 @@ proptest! {
     ) {
         let scaled = src.scale(s);
         for &t in &THREADS {
-            // scale_into overwrites a dirty buffer completely.
-            let mut dirty = dst0.clone();
-            kernels::scale_into_with(&mut dirty, &src, s, t);
-            prop_assert_eq!(dirty.data(), scaled.data(), "scale_into threads={}", t);
-            // scale_assign == materializing self * s.
+            // axpy's assign form overwrites a garbage buffer with s * src.
+            for mut dirty in garbage(&dst0) {
+                kernels::axpy(&mut dirty, &src, s, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), scaled.data(), "axpy assign threads={}", t);
+            }
+            // scale == materializing self * s.
             let mut dst = dst0.clone();
             let expected = dst0.scale(s);
-            kernels::scale_assign_with(&mut dst, s, t);
-            prop_assert_eq!(dst.data(), expected.data(), "scale_assign threads={}", t);
-        }
-    }
-
-    #[test]
-    fn hadamard_assign_matches_reference((dst0, src) in elementwise_inputs()) {
-        let expected = dst0.hadamard(&src);
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::hadamard_assign_with(&mut dst, &src, t);
-            prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
+            kernels::scale(&mut dst, s, Exact(t));
+            prop_assert_eq!(dst.data(), expected.data(), "scale threads={}", t);
         }
     }
 
     #[test]
     fn zip_map_family_matches_reference((dst0, src) in elementwise_inputs()) {
         let f = |a: f32, b: f32| if b > 0.0 { a } else { a * 0.25 };
-        // zip_map_assign == materialized zip_map over (dst, src).
+        // Assign == materialized zip_map over (dst0, src).
         let expected_assign = dst0.zip_map(&src, f);
-        // zip_map_acc == materialize f(dst0, src) then dst0 += it.
+        // Acc == materialize f(dst0, src) then dst0 += it.
         let mut expected_acc = dst0.clone();
         for ((e, &a), &b) in expected_acc.data_mut().iter_mut().zip(dst0.data()).zip(src.data()) {
             let tmp = f(a, b);
             *e += tmp;
         }
         for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::zip_map_assign_with(&mut dst, &src, f, t);
-            prop_assert_eq!(dst.data(), expected_assign.data(), "assign threads={}", t);
-
-            let mut dirty = src.clone();
-            kernels::zip_map_into_with(&mut dirty, &dst0, &src, f, t);
-            prop_assert_eq!(dirty.data(), expected_assign.data(), "into threads={}", t);
+            for mut dirty in garbage(&src) {
+                kernels::zip_map(&mut dirty, &dst0, &src, f, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), expected_assign.data(), "assign threads={}", t);
+            }
 
             let mut acc = dst0.clone();
-            kernels::zip_map_acc_with(&mut acc, &dst0, &src, f, t);
+            kernels::zip_map(&mut acc, &dst0, &src, f, Acc, Exact(t));
             prop_assert_eq!(acc.data(), expected_acc.data(), "acc threads={}", t);
         }
     }
 
     #[test]
-    fn matmul_acc_matches_allocate_then_combine((a, b, dst0) in matmul_acc_inputs()) {
-        let product = kernels::matmul_serial(&a, &b);
+    fn add_matches_allocate_then_combine((dst0, src) in elementwise_inputs()) {
         let mut expected = dst0.clone();
-        for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
+        for (e, &x) in expected.data_mut().iter_mut().zip(src.data()) {
             *e += x;
         }
         for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::matmul_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
+            let mut acc = dst0.clone();
+            kernels::add(&mut acc, &src, Acc, Exact(t));
+            prop_assert_eq!(acc.data(), expected.data(), "acc threads={}", t);
+            for mut dirty in garbage(&dst0) {
+                kernels::add(&mut dirty, &src, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), src.data(), "assign threads={}", t);
+            }
         }
     }
 
     #[test]
     fn matmul_nt_fused_match_allocate_then_combine((a, b, dst0) in nt_acc_inputs()) {
-        let product = kernels::matmul_nt_serial(&a, &b);
+        let product = reference::matmul_nt_serial(&a, &b);
         let mut expected = dst0.clone();
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
         for &t in &THREADS {
             let mut dst = dst0.clone();
-            kernels::matmul_nt_acc_with(&mut dst, &a, &b, t);
+            kernels::matmul_nt(&mut dst, &a, &b, Acc, Exact(t));
             prop_assert_eq!(dst.data(), expected.data(), "acc threads={}", t);
-            // The assign form overwrites a dirty buffer with the product.
-            let mut dirty = dst0.clone();
-            kernels::matmul_nt_into_with(&mut dirty, &a, &b, t);
-            prop_assert_eq!(dirty.data(), product.data(), "into threads={}", t);
+            // The assign form overwrites a garbage buffer with the product.
+            for mut dirty in garbage(&dst0) {
+                kernels::matmul_nt(&mut dirty, &a, &b, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), product.data(), "assign threads={}", t);
+            }
         }
     }
 
@@ -389,11 +392,12 @@ proptest! {
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
-        let mut dirty = dst0.clone();
-        kernels::mul_col_broadcast_into(&mut dirty, &src, &col);
-        prop_assert_eq!(dirty.data(), product.data());
+        for mut dirty in garbage(&dst0) {
+            kernels::mul_col_broadcast(&mut dirty, &src, &col, Assign);
+            prop_assert_eq!(dirty.data(), product.data());
+        }
         let mut acc = dst0.clone();
-        kernels::mul_col_broadcast_acc(&mut acc, &src, &col);
+        kernels::mul_col_broadcast(&mut acc, &src, &col, Acc);
         prop_assert_eq!(acc.data(), expected.data());
     }
 
@@ -407,11 +411,12 @@ proptest! {
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
-        let mut dirty = dst0.clone();
-        kernels::row_dot_into(&mut dirty, &a, &b);
-        prop_assert_eq!(dirty.data(), product.data());
+        for mut dirty in garbage(&dst0) {
+            kernels::row_dot(&mut dirty, &a, &b, Assign);
+            prop_assert_eq!(dirty.data(), product.data());
+        }
         let mut acc = dst0.clone();
-        kernels::row_dot_acc(&mut acc, &a, &b);
+        kernels::row_dot(&mut acc, &a, &b, Acc);
         prop_assert_eq!(acc.data(), expected.data());
     }
 
@@ -431,68 +436,80 @@ proptest! {
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
-        let mut dirty = dst0.clone();
-        kernels::softmax_rows_backward_into(&mut dirty, &g, &y);
-        prop_assert_eq!(dirty.data(), product.data());
+        for mut dirty in garbage(&dst0) {
+            kernels::softmax_rows_backward(&mut dirty, &g, &y, Assign);
+            prop_assert_eq!(dirty.data(), product.data());
+        }
         let mut acc = dst0.clone();
-        kernels::softmax_rows_backward_acc(&mut acc, &g, &y);
+        kernels::softmax_rows_backward(&mut acc, &g, &y, Acc);
         prop_assert_eq!(acc.data(), expected.data());
     }
 
     #[test]
     fn matmul_tn_acc_zeroed_is_bitwise_product((a, b) in tn_inputs()) {
         // Streaming accumulator: on the tape's zeroed checkouts it must
-        // reproduce the allocating kernel exactly.
-        let product = kernels::matmul_tn_serial(&a, &b);
+        // reproduce the product exactly; its assign form must ignore a
+        // garbage destination.
+        let product = reference::matmul_tn_serial(&a, &b);
         for &t in &THREADS {
             let mut dst = Matrix::zeros(a.cols(), b.cols());
-            kernels::matmul_tn_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), product.data(), "threads={}", t);
+            kernels::matmul_tn(&mut dst, &a, &b, Acc, Exact(t));
+            prop_assert_eq!(dst.data(), product.data(), "acc threads={}", t);
+            for mut dirty in garbage(&dirty(a.cols(), b.cols())) {
+                kernels::matmul_tn(&mut dirty, &a, &b, Assign, Exact(t));
+                prop_assert_eq!(dirty.data(), product.data(), "assign threads={}", t);
+            }
         }
     }
 
     #[test]
     fn spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in sparse_inputs()) {
-        let product = kernels::spmm_serial(&csr, &x);
-        let product_t = kernels::spmm_t_serial(&csr, &xt);
-        for &t in &THREADS {
-            let mut dst = Matrix::zeros(csr.rows(), x.cols());
-            kernels::spmm_acc_with(&mut dst, &csr, &x, t);
-            prop_assert_eq!(dst.data(), product.data(), "spmm_acc threads={}", t);
-            let mut dst_t = Matrix::zeros(csr.cols(), xt.cols());
-            kernels::spmm_t_acc_with(&mut dst_t, &csr, &xt, t);
-            prop_assert_eq!(dst_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
-        }
+        assert_sparse_modes(&csr, &x, &xt)?;
     }
 
     #[test]
     fn skewed_spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in skewed_sparse_inputs()) {
         // Same contract through the nnz-weighted stealing plans.
-        let product = kernels::spmm_serial(&csr, &x);
-        let product_t = kernels::spmm_t_serial(&csr, &xt);
-        for &t in &THREADS {
-            let mut dst = Matrix::zeros(csr.rows(), x.cols());
-            kernels::spmm_acc_with(&mut dst, &csr, &x, t);
-            prop_assert_eq!(dst.data(), product.data(), "spmm_acc threads={}", t);
-            let mut dst_t = Matrix::zeros(csr.cols(), xt.cols());
-            kernels::spmm_t_acc_with(&mut dst_t, &csr, &xt, t);
-            prop_assert_eq!(dst_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
+        assert_sparse_modes(&csr, &x, &xt)?;
+    }
+}
+
+/// The streaming-mode contract for `spmm` / `spmm_t` at every thread
+/// count: `Acc` into a zeroed destination and `Assign` over a garbage
+/// one (finite and NaN) both reproduce the serial product exactly.
+fn assert_sparse_modes(csr: &Csr, x: &Matrix, xt: &Matrix) -> Result<(), TestCaseError> {
+    let product = reference::spmm_serial(csr, x);
+    let product_t = reference::spmm_t_serial(csr, xt);
+    for &t in &THREADS {
+        let mut dst = Matrix::zeros(csr.rows(), x.cols());
+        kernels::spmm(&mut dst, csr, x, Acc, Exact(t));
+        prop_assert_eq!(dst.data(), product.data(), "spmm acc threads={}", t);
+        let mut dst_t = Matrix::zeros(csr.cols(), xt.cols());
+        kernels::spmm_t(&mut dst_t, csr, xt, Acc, Exact(t));
+        prop_assert_eq!(dst_t.data(), product_t.data(), "spmm_t acc threads={}", t);
+        for mut dirty in garbage(&dirty(csr.rows(), x.cols())) {
+            kernels::spmm(&mut dirty, csr, x, Assign, Exact(t));
+            prop_assert_eq!(dirty.data(), product.data(), "spmm assign threads={}", t);
+        }
+        for mut dirty in garbage(&dirty(csr.cols(), xt.cols())) {
+            kernels::spmm_t(&mut dirty, csr, xt, Assign, Exact(t));
+            prop_assert_eq!(dirty.data(), product_t.data(), "spmm_t assign threads={}", t);
         }
     }
+    Ok(())
 }
 
 // ----- canonical lane order (LANES = 8 dot reductions) ----------------
 //
-// The dot-reduction kernels — the `matmul_nt` family, `row_dots`,
-// `row_dot_into` / `row_dot_acc`, and the softmax-backward row totals —
-// accumulate in the fixed-lane order spelled out by `lane_dot_ref` at
-// the top of this file: machine-independent by construction, and the
-// same on every code path. These proptests pin every entry point
-// bitwise against that scalar spec across adversarial shapes: k % 8
-// ∈ {1..7} (every remainder length, on both sides of one full lane
-// block), single rows/columns, empty matrices, and below-`min_work`
-// sizes (the bare wrappers dispatch those serially, so both dispatch
-// outcomes are covered).
+// The dot-reduction kernels — `matmul_nt`, `row_dots`, `row_dot`, and
+// the softmax-backward row totals — accumulate in the fixed-lane order
+// spelled out by `lane_dot_ref` (tests/reference/mod.rs):
+// machine-independent by construction, and the same on every code
+// path. These proptests pin every route bitwise against that scalar
+// spec across adversarial shapes: k % 8 ∈ {1..7} (every remainder
+// length, on both sides of one full lane block), single rows/columns,
+// empty matrices, and below-`min_work` sizes (`Threads::Auto`
+// dispatches those serially, so both dispatch outcomes are covered).
 
 /// `(a, b)` with equal column counts for the dot-reduction kernels;
 /// k ranges past one full lane block so every remainder length shows
@@ -512,12 +529,10 @@ proptest! {
     fn matmul_nt_matches_lane_order_reference((a, b) in nt_lane_inputs()) {
         let expected =
             Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
-        let serial = kernels::matmul_nt_serial(&a, &b);
-        prop_assert_eq!(serial.data(), expected.data());
-        let auto = kernels::matmul_nt(&a, &b);
+        let auto = written(Matrix::zeros(a.rows(), b.rows()), |d| kernels::matmul_nt(d, &a, &b, Assign, Auto));
         prop_assert_eq!(auto.data(), expected.data());
         for &t in &THREADS {
-            let got = kernels::matmul_nt_with(&a, &b, t);
+            let got = matmul_nt_on(&a, &b, t);
             prop_assert_eq!(got.data(), expected.data(), "threads={}", t);
         }
     }
@@ -526,30 +541,32 @@ proptest! {
     fn row_dots_matches_lane_order_reference((base, query) in row_dots_inputs()) {
         let expected: Vec<f32> =
             (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
-        prop_assert_eq!(&kernels::row_dots(&base, &query), &expected);
-        for &t in &THREADS {
-            prop_assert_eq!(&kernels::row_dots_with(&base, &query, t), &expected, "threads={}", t);
+        for threads in [Auto, Exact(1), Exact(2), Exact(4)] {
+            let mut got = vec![f32::NAN; base.rows()];
+            kernels::row_dots(&mut got, &base, &query, threads);
+            prop_assert_eq!(&got, &expected, "threads={:?}", threads);
         }
     }
 
     #[test]
-    fn matmul_into_packed_matches_serial((a, b, dst0) in matmul_acc_inputs()) {
-        // `matmul_into` overwrites a dirty destination with the product;
+    fn matmul_into_packed_matches_serial((a, b, dst0) in matmul_dst_inputs()) {
+        // `Mode::Assign` overwrites a garbage destination with the product;
         // under the thread override the parallel calls run the
         // panel-packed tiled kernel, which must stay bitwise-serial
         // (packing is a layout change, never an order change) even on
         // pack-adversarial shapes: all-tail column counts (n < 8),
         // row counts off the 4-row block, k across the lane remainder.
         let _caps = ThreadOverride::lift_caps();
-        let reference = kernels::matmul_serial(&a, &b);
+        let reference = reference::matmul_serial(&a, &b);
         for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::matmul_into_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
+            for mut dst in garbage(&dst0) {
+                kernels::matmul(&mut dst, &a, &b, Assign, Exact(t));
+                prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
+            }
         }
         let mut dst = dst0;
-        kernels::matmul_into(&mut dst, &a, &b);
-        prop_assert_eq!(dst.data(), reference.data(), "auto wrapper");
+        kernels::matmul(&mut dst, &a, &b, Assign, Auto);
+        prop_assert_eq!(dst.data(), reference.data(), "auto policy");
     }
 }
 
@@ -563,12 +580,13 @@ fn matmul_packed_tiling_boundaries_are_bitwise_serial() {
     let _caps = ThreadOverride::lift_caps();
     let a = Matrix::from_fn(9, 130, |r, c| ((r * 31 + c * 7) as f32 * 0.013).sin());
     let b = Matrix::from_fn(130, 519, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let reference = reference::matmul_serial(&a, &b);
     for t in 1..=4 {
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data(), "threads={t}");
-        let mut dst = Matrix::from_fn(9, 519, |r, c| (r as f32 - c as f32) * 0.1);
-        kernels::matmul_into_with(&mut dst, &a, &b, t);
-        assert_eq!(dst.data(), reference.data(), "into threads={t}");
+        assert_eq!(matmul_on(&a, &b, t).data(), reference.data(), "threads={t}");
+        for mut dst in garbage(&Matrix::from_fn(9, 519, |r, c| (r as f32 - c as f32) * 0.1)) {
+            kernels::matmul(&mut dst, &a, &b, Assign, Exact(t));
+            assert_eq!(dst.data(), reference.data(), "assign threads={t}");
+        }
     }
 }
 
@@ -583,14 +601,14 @@ fn fused_kernels_bitwise_across_pool_threads() {
     let b = Matrix::from_fn(37, 23, |r, c| ((r * 17 + c * 3) as f32 * 0.29).cos());
     let mut expected_axpy = a.clone();
     expected_axpy.add_scaled_assign(&b, 0.75);
-    let expected_tn = kernels::matmul_tn_serial(&a, &b);
+    let expected_tn = reference::matmul_tn_serial(&a, &b);
     for t in [2, 3, 4] {
         let mut dst = a.clone();
-        kernels::axpy_with(&mut dst, &b, 0.75, t);
+        kernels::axpy(&mut dst, &b, 0.75, Acc, Exact(t));
         assert_eq!(dst.data(), expected_axpy.data(), "axpy threads={t}");
         let mut tn = Matrix::zeros(a.cols(), b.cols());
-        kernels::matmul_tn_acc_with(&mut tn, &a, &b, t);
-        assert_eq!(tn.data(), expected_tn.data(), "matmul_tn_acc threads={t}");
+        kernels::matmul_tn(&mut tn, &a, &b, Acc, Exact(t));
+        assert_eq!(tn.data(), expected_tn.data(), "matmul_tn acc threads={t}");
     }
 }
 
@@ -600,11 +618,11 @@ fn fused_kernels_bitwise_across_pool_threads() {
 fn empty_matrices_all_kernels() {
     let a00 = Matrix::zeros(0, 0);
     for &t in &THREADS {
-        assert_eq!(kernels::matmul_with(&a00, &a00, t).shape(), (0, 0));
-        assert_eq!(kernels::matmul_with(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
-        assert_eq!(kernels::matmul_with(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
-        assert_eq!(kernels::matmul_tn_with(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).shape(), (4, 2));
-        assert_eq!(kernels::matmul_nt_with(&Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t).shape(), (2, 5));
+        assert_eq!(matmul_on(&a00, &a00, t).shape(), (0, 0));
+        assert_eq!(matmul_on(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
+        assert_eq!(matmul_on(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
+        assert_eq!(matmul_tn_on(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).shape(), (4, 2));
+        assert_eq!(matmul_nt_on(&Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t).shape(), (2, 5));
     }
 }
 
@@ -612,10 +630,10 @@ fn empty_matrices_all_kernels() {
 fn single_row_inputs() {
     let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
     let b = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    let reference = kernels::matmul_serial(&a, &b);
+    let reference = reference::matmul_serial(&a, &b);
     for &t in &THREADS {
         // More threads than rows must clamp, not panic.
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data());
+        assert_eq!(matmul_on(&a, &b, t).data(), reference.data());
     }
 }
 
@@ -625,10 +643,10 @@ fn nnz_zero_csr() {
     let x = Matrix::ones(7, 3);
     let xt = Matrix::ones(5, 3);
     for &t in &THREADS {
-        let y = kernels::spmm_with(&e, &x, t);
+        let y = spmm_on(&e, &x, t);
         assert_eq!(y.shape(), (5, 3));
         assert_eq!(y.sum(), 0.0);
-        let yt = kernels::spmm_t_with(&e, &xt, t);
+        let yt = spmm_t_on(&e, &xt, t);
         assert_eq!(yt.shape(), (7, 3));
         assert_eq!(yt.sum(), 0.0);
     }
@@ -640,9 +658,9 @@ fn parallel_results_are_bitwise_identical() {
     // count must give byte-for-byte the serial result.
     let a = Matrix::from_fn(37, 53, |r, c| ((r * 13 + c * 31) as f32 * 0.017).sin());
     let b = Matrix::from_fn(53, 29, |r, c| ((r * 7 + c * 11) as f32 * 0.029).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let reference = reference::matmul_serial(&a, &b);
     for t in 1..=8 {
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data(), "threads={t}");
+        assert_eq!(matmul_on(&a, &b, t).data(), reference.data(), "threads={t}");
     }
     let csr = Csr::from_triplets(
         40,
@@ -652,9 +670,9 @@ fn parallel_results_are_bitwise_identical() {
             .collect::<Vec<_>>(),
     );
     let x = Matrix::from_fn(31, 6, |r, c| (r as f32 - c as f32) * 0.3);
-    let reference = kernels::spmm_serial(&csr, &x);
+    let reference = reference::spmm_serial(&csr, &x);
     for t in 1..=8 {
-        assert_eq!(kernels::spmm_with(&csr, &x, t).data(), reference.data(), "threads={t}");
+        assert_eq!(spmm_on(&csr, &x, t).data(), reference.data(), "threads={t}");
     }
 }
 
@@ -672,8 +690,8 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     let csr = Csr::from_triplets(400, 300, &triplets);
     let x = Matrix::from_fn(300, 16, |r, c| ((r * 3 + c) as f32 * 0.01).cos());
     let xt = Matrix::from_fn(400, 16, |r, c| ((r + 5 * c) as f32 * 0.01).sin());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = reference::spmm_serial(&csr, &x);
+    let reference_t = reference::spmm_t_serial(&csr, &xt);
     // An explicit set_threads override lifts the oversubscription
     // guard, so the stealing/CSC-streaming code paths run for real
     // here even on a single-core machine. (Other tests in this binary
@@ -683,8 +701,8 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     par::set_threads(Some(8));
     let result = std::panic::catch_unwind(|| {
         for t in 1..=8 {
-            assert_eq!(kernels::spmm_with(&csr, &x, t).data(), reference.data(), "spmm threads={t}");
-            assert_eq!(kernels::spmm_t_with(&csr, &xt, t).data(), reference_t.data(), "spmm_t threads={t}");
+            assert_eq!(spmm_on(&csr, &x, t).data(), reference.data(), "spmm threads={t}");
+            assert_eq!(spmm_t_on(&csr, &xt, t).data(), reference_t.data(), "spmm_t threads={t}");
         }
     });
     par::set_threads(None);
@@ -701,18 +719,18 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     assert_eq!(csr.transpose(), via_triplets);
 }
 
-// ----- auto-dispatch wrappers -----------------------------------------
+// ----- the thread policy ----------------------------------------------
 //
-// Every `*_with(threads)` kernel has a wrapper that picks its thread
-// count from the shared config (`matmul_tn`, `spmm_acc`, `axpy`, …).
-// The wrapper contract is pure delegation: identical bytes to the
-// explicit form for any config. `set_min_work(Some(1))` forces the
-// wrappers down their genuine parallel routes even on test-sized
-// shapes; this test is the single owner of that global (a second
-// concurrent owner could observe the other's override — the bytes
-// would still match, but the `min_work` value assertions would race).
+// `Threads::Auto` picks the thread count from the shared config
+// (serial below `min_work`); the contract is that it changes only the
+// route, never the bytes: identical to `Threads::Exact` for any config,
+// in both modes. `set_min_work(Some(1))` forces `Auto` down the genuine
+// parallel routes even on test-sized shapes; this test is the single
+// owner of that global (a second concurrent owner could observe the
+// other's override — the bytes would still match, but the `min_work`
+// value assertions would race).
 
-/// RAII guard forcing every auto-dispatch wrapper onto the parallel
+/// RAII guard forcing every `Threads::Auto` call onto the parallel
 /// route; restores the default threshold on any exit.
 struct MinWorkOverride;
 
@@ -737,6 +755,8 @@ fn auto_wrappers_match_explicit_thread_counts() {
     assert!(default > 1, "default PAR_MIN_WORK should be a real threshold");
     kernels::set_min_work(Some(5));
     assert_eq!(kernels::min_work(), 5);
+    assert_eq!(Auto.resolve(4), 1, "Auto stays serial below min_work");
+    assert_eq!(Exact(3).resolve(4), 3, "Exact is taken verbatim");
     kernels::set_min_work(Some(0));
     assert_eq!(kernels::min_work(), 1, "Some(0) clamps to the floor");
     kernels::set_min_work(None);
@@ -745,41 +765,35 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let _caps = ThreadOverride::lift_caps();
     let _work = MinWorkOverride::force_parallel();
 
-    // Dense product wrappers against their serial references.
+    // Dense products, both modes, against a garbage destination (the
+    // streaming ops' Acc folds into it identically on either route).
     let a = Matrix::from_fn(13, 11, |r, c| ((r * 19 + c * 5) as f32 * 0.11).sin());
     let b = Matrix::from_fn(11, 9, |r, c| ((r * 3 + c * 13) as f32 * 0.23).cos());
     let same_rows = Matrix::from_fn(13, 9, |r, c| ((r + 4 * c) as f32 * 0.07).sin());
     let same_cols = Matrix::from_fn(7, 11, |r, c| ((2 * r + c) as f32 * 0.19).cos());
-    assert_eq!(kernels::matmul_tn(&a, &same_rows).data(), kernels::matmul_tn_serial(&a, &same_rows).data());
-    assert_eq!(kernels::matmul_nt(&a, &same_cols).data(), kernels::matmul_nt_serial(&a, &same_cols).data());
+    type DenseKernel = fn(&mut Matrix, &Matrix, &Matrix, kernels::Mode, Threads);
+    let dense: [(&str, DenseKernel, &Matrix, Matrix); 3] = [
+        ("matmul", kernels::matmul, &b, dirty(13, 9)),
+        ("matmul_tn", kernels::matmul_tn, &same_rows, dirty(11, 9)),
+        ("matmul_nt", kernels::matmul_nt, &same_cols, dirty(13, 7)),
+    ];
+    for (name, kernel, rhs, dst0) in dense {
+        for mode in [Assign, Acc] {
+            let got = written(dst0.clone(), |d| kernel(d, &a, rhs, mode, Auto));
+            let want = written(dst0.clone(), |d| kernel(d, &a, rhs, mode, Exact(1)));
+            assert_eq!(got.data(), want.data(), "{name} {mode:?}");
+        }
+    }
+    assert_eq!(
+        written(Matrix::zeros(11, 9), |d| kernels::matmul_tn(d, &a, &same_rows, Acc, Auto)).data(),
+        reference::matmul_tn_serial(&a, &same_rows).data()
+    );
+    assert_eq!(
+        written(Matrix::zeros(13, 7), |d| kernels::matmul_nt(d, &a, &same_cols, Assign, Auto)).data(),
+        reference::matmul_nt_serial(&a, &same_cols).data()
+    );
 
-    let dirty = Matrix::from_fn(13, 9, |r, c| ((r * 7 + c) as f32 * 0.31).sin());
-    let mut got = dirty.clone();
-    let mut want = dirty.clone();
-    kernels::matmul_acc(&mut got, &a, &b);
-    kernels::matmul_acc_with(&mut want, &a, &b, 1);
-    assert_eq!(got.data(), want.data(), "matmul_acc");
-
-    let tn_dirty = Matrix::from_fn(11, 9, |r, c| ((r + c * 3) as f32 * 0.17).cos());
-    let mut got = tn_dirty.clone();
-    let mut want = tn_dirty.clone();
-    kernels::matmul_tn_acc(&mut got, &a, &same_rows);
-    kernels::matmul_tn_acc_with(&mut want, &a, &same_rows, 1);
-    assert_eq!(got.data(), want.data(), "matmul_tn_acc");
-
-    let nt_dirty = Matrix::from_fn(13, 7, |r, c| ((r * 5 + c) as f32 * 0.13).sin());
-    let mut got = nt_dirty.clone();
-    let mut want = nt_dirty.clone();
-    kernels::matmul_nt_acc(&mut got, &a, &same_cols);
-    kernels::matmul_nt_acc_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(got.data(), want.data(), "matmul_nt_acc");
-    let mut got = nt_dirty.clone();
-    let mut want = nt_dirty;
-    kernels::matmul_nt_into(&mut got, &a, &same_cols);
-    kernels::matmul_nt_into_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(got.data(), want.data(), "matmul_nt_into");
-
-    // Sparse wrappers.
+    // Sparse products.
     let csr = Csr::from_triplets(
         12,
         10,
@@ -789,80 +803,53 @@ fn auto_wrappers_match_explicit_thread_counts() {
     );
     let x = Matrix::from_fn(10, 5, |r, c| ((r + 2 * c) as f32 * 0.09).cos());
     let xt = Matrix::from_fn(12, 5, |r, c| ((3 * r + c) as f32 * 0.09).sin());
-    assert_eq!(kernels::spmm(&csr, &x).data(), kernels::spmm_serial(&csr, &x).data());
-    assert_eq!(kernels::spmm_t(&csr, &xt).data(), kernels::spmm_t_serial(&csr, &xt).data());
-    let mut got = Matrix::zeros(12, 5);
-    let mut want = Matrix::zeros(12, 5);
-    kernels::spmm_acc(&mut got, &csr, &x);
-    kernels::spmm_acc_with(&mut want, &csr, &x, 1);
-    assert_eq!(got.data(), want.data(), "spmm_acc");
-    let mut got = Matrix::zeros(10, 5);
-    let mut want = Matrix::zeros(10, 5);
-    kernels::spmm_t_acc(&mut got, &csr, &xt);
-    kernels::spmm_t_acc_with(&mut want, &csr, &xt, 1);
-    assert_eq!(got.data(), want.data(), "spmm_t_acc");
+    assert_eq!(csr.spmm(&x).data(), reference::spmm_serial(&csr, &x).data(), "spmm");
+    assert_eq!(csr.spmm_t(&xt).data(), reference::spmm_t_serial(&csr, &xt).data(), "spmm_t");
+    for mode in [Assign, Acc] {
+        let got = written(dirty(12, 5), |d| kernels::spmm(d, &csr, &x, mode, Auto));
+        let want = written(dirty(12, 5), |d| kernels::spmm(d, &csr, &x, mode, Exact(1)));
+        assert_eq!(got.data(), want.data(), "spmm {mode:?}");
+        let got = written(dirty(10, 5), |d| kernels::spmm_t(d, &csr, &xt, mode, Auto));
+        let want = written(dirty(10, 5), |d| kernels::spmm_t(d, &csr, &xt, mode, Exact(1)));
+        assert_eq!(got.data(), want.data(), "spmm_t {mode:?}");
+    }
 
-    // Elementwise wrappers.
+    // Elementwise kernels.
     let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
     let src = Matrix::from_fn(9, 8, |r, c| ((r + 7 * c) as f32 * 0.33).cos());
     let f = |p: f32, q: f32| if q > 0.0 { p } else { p * 0.25 };
     for t in 1..=3usize {
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::add_assign(&mut got, &src);
-        kernels::add_assign_with(&mut want, &src, t);
-        assert_eq!(got.data(), want.data(), "add_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::axpy(&mut got, &src, 0.6);
-        kernels::axpy_with(&mut want, &src, 0.6, t);
-        assert_eq!(got.data(), want.data(), "axpy threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::scale_into(&mut got, &src, -1.7);
-        kernels::scale_into_with(&mut want, &src, -1.7, t);
-        assert_eq!(got.data(), want.data(), "scale_into threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::scale_assign(&mut got, 2.3);
-        kernels::scale_assign_with(&mut want, 2.3, t);
-        assert_eq!(got.data(), want.data(), "scale_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::hadamard_assign(&mut got, &src);
-        kernels::hadamard_assign_with(&mut want, &src, t);
-        assert_eq!(got.data(), want.data(), "hadamard_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_assign(&mut got, &src, f);
-        kernels::zip_map_assign_with(&mut want, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_into(&mut got, &base, &src, f);
-        kernels::zip_map_into_with(&mut want, &base, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_into threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_acc(&mut got, &base, &src, f);
-        kernels::zip_map_acc_with(&mut want, &base, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_acc threads={t}");
+        for mode in [Assign, Acc] {
+            let got = written(base.clone(), |d| kernels::add(d, &src, mode, Auto));
+            let want = written(base.clone(), |d| kernels::add(d, &src, mode, Exact(t)));
+            assert_eq!(got.data(), want.data(), "add {mode:?} threads={t}");
+            let got = written(base.clone(), |d| kernels::axpy(d, &src, 0.6, mode, Auto));
+            let want = written(base.clone(), |d| kernels::axpy(d, &src, 0.6, mode, Exact(t)));
+            assert_eq!(got.data(), want.data(), "axpy {mode:?} threads={t}");
+            let got = written(base.clone(), |d| kernels::zip_map(d, &base, &src, f, mode, Auto));
+            let want = written(base.clone(), |d| kernels::zip_map(d, &base, &src, f, mode, Exact(t)));
+            assert_eq!(got.data(), want.data(), "zip_map {mode:?} threads={t}");
+        }
+        let got = written(base.clone(), |d| kernels::scale(d, 2.3, Auto));
+        let want = written(base.clone(), |d| kernels::scale(d, 2.3, Exact(t)));
+        assert_eq!(got.data(), want.data(), "scale threads={t}");
     }
 
-    // Scatter-add and row-dot wrappers.
+    // Scatter-add and row dots.
     let indices: Vec<u32> = (0..base.rows() as u32).map(|i| (i * 5 + 2) % 4).collect();
-    let mut got = Matrix::zeros(4, base.cols());
-    let mut want = Matrix::zeros(4, base.cols());
-    kernels::scatter_add_rows(&mut got, &indices, &base);
-    kernels::scatter_add_rows_with(&mut want, &indices, &base, 1);
-    assert_eq!(got.data(), want.data(), "scatter_add_rows");
+    for mode in [Assign, Acc] {
+        let got = written(dirty(4, base.cols()), |d| kernels::scatter_add_rows(d, &indices, &base, mode, Auto));
+        let want = written(dirty(4, base.cols()), |d| kernels::scatter_add_rows(d, &indices, &base, mode, Exact(1)));
+        assert_eq!(got.data(), want.data(), "scatter_add_rows {mode:?}");
+    }
 
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();
     let serial: Vec<f32> =
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
-    assert_eq!(kernels::row_dots(&base, &query), serial, "row_dots");
-    for t in 1..=3usize {
-        assert_eq!(kernels::row_dots_with(&base, &query, t), serial, "row_dots_with threads={t}");
+    for threads in [Auto, Exact(1), Exact(2), Exact(3)] {
+        let mut got = vec![f32::NAN; base.rows()];
+        kernels::row_dots(&mut got, &base, &query, threads);
+        assert_eq!(got, serial, "row_dots {threads:?}");
     }
 }
 
@@ -871,17 +858,18 @@ fn transpose_kernels_match_materialized_transpose() {
     let src = Matrix::from_fn(7, 12, |r, c| ((r * 13 + c * 3) as f32 * 0.19).sin());
     let transposed = Matrix::from_fn(12, 7, |r, c| src.get(c, r));
     let dst0 = Matrix::from_fn(12, 7, |r, c| ((r + 5 * c) as f32 * 0.23).cos());
-    // transpose_into overwrites a dirty buffer completely.
-    let mut dirty = dst0.clone();
-    kernels::transpose_into(&mut dirty, &src);
-    assert_eq!(dirty.data(), transposed.data());
-    // transpose_acc == materialize src^T, then add_assign it.
+    // Assign overwrites a garbage buffer completely.
+    for mut dirty in garbage(&dst0) {
+        kernels::transpose(&mut dirty, &src, Assign);
+        assert_eq!(dirty.data(), transposed.data());
+    }
+    // Acc == materialize src^T, then add it.
     let mut expected = dst0.clone();
     for (e, &x) in expected.data_mut().iter_mut().zip(transposed.data()) {
         *e += x;
     }
     let mut acc = dst0;
-    kernels::transpose_acc(&mut acc, &src);
+    kernels::transpose(&mut acc, &src, Acc);
     assert_eq!(acc.data(), expected.data());
 }
 
@@ -889,7 +877,7 @@ fn transpose_kernels_match_materialized_transpose() {
 //
 // The serving-path kernels: `dot` and `row_dots_into` must replay the
 // exact lane order (spec: `lane_dot_ref`), and the bounded partial
-// selection (`top_k_select` / `top_k_select_excluding`) must be
+// selection (`top_k_select_excluding`, with and without exclusions) must be
 // exact-match — same indices, same order — against a full sort under
 // the deterministic `(score desc, index asc)` total order, on both of
 // its internal algorithms (bounded heap for small k, quickselect once
@@ -935,7 +923,7 @@ proptest! {
             let got = kernels::top_k_select_excluding(&scores, k, &exclude, &mut scratch);
             prop_assert_eq!(got, &expected[..], "excluding, k={}", k);
             let expected_all = top_k_ref(&scores, k, &[]);
-            let got_all = kernels::top_k_select(&scores, k, &mut scratch);
+            let got_all = kernels::top_k_select_excluding(&scores, k, &[], &mut scratch);
             prop_assert_eq!(got_all, &expected_all[..], "no exclusion, k={}", k);
         }
     }
@@ -947,10 +935,11 @@ proptest! {
             prop_assert_eq!(kernels::dot(base.row(r), &query).to_bits(), expected.to_bits());
         }
         // `row_dots_into` fills a dirty caller buffer with exactly the
-        // bytes the allocating `row_dots` returns.
+        // bytes the parallel `row_dots` writes.
         let mut dst = vec![f32::NAN; base.rows()];
         kernels::row_dots_into(&mut dst, &base, &query);
-        let reference = kernels::row_dots(&base, &query);
+        let mut reference = vec![0.0; base.rows()];
+        kernels::row_dots(&mut reference, &base, &query, Auto);
         prop_assert_eq!(
             dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -964,9 +953,9 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // (score desc, index asc) tie-break on every path.
     let flat = vec![1.5f32; 100];
     let mut scratch = kernels::TopKScratch::new();
-    let heap_path: Vec<u32> = kernels::top_k_select(&flat, 4, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let heap_path: Vec<u32> = kernels::top_k_select_excluding(&flat, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(heap_path, vec![0, 1, 2, 3]);
-    let qsel_path: Vec<u32> = kernels::top_k_select(&flat, 60, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let qsel_path: Vec<u32> = kernels::top_k_select_excluding(&flat, 60, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(qsel_path, (0..60).collect::<Vec<u32>>());
     // One scratch serves differently-sized calls back to back; the
     // exclusion merge-walk tolerates duplicate entries.
@@ -976,7 +965,7 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // NaN scores are ordered by total_cmp (positive NaN above +inf),
     // not silently shuffled like the old partial_cmp comparator.
     let with_nan = [1.0, f32::NAN, f32::INFINITY, 2.0];
-    let order: Vec<u32> = kernels::top_k_select(&with_nan, 4, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let order: Vec<u32> = kernels::top_k_select_excluding(&with_nan, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(order, vec![1, 2, 3, 0]);
 }
 

@@ -9,8 +9,12 @@
 
 use std::sync::Mutex;
 
-use gnmr_tensor::{kernels, par, Coo, Csr, Matrix};
+mod reference;
+
+use gnmr_tensor::kernels::Threads::Exact;
+use gnmr_tensor::{par, Coo, Csr, Matrix};
 use proptest::prelude::*;
+use reference::{matmul_on, spmm_on, spmm_t_on};
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -83,16 +87,16 @@ proptest! {
         // Parallel CSR construction must sum duplicates in insertion
         // order — bitwise equal to the serial stable-sort reference.
         let _g = lock();
-        let reference = Csr::from_triplets_with(rows, cols, &entries, 1);
+        let reference = Csr::from_triplets_with(rows, cols, &entries, Exact(1));
         for threads in [2usize, 3, 4] {
-            let got = Csr::from_triplets_with(rows, cols, &entries, threads);
+            let got = Csr::from_triplets_with(rows, cols, &entries, Exact(threads));
             prop_assert_eq!(&got, &reference, "threads={}", threads);
         }
         let mut coo = Coo::new(rows, cols);
         for &(r, c, v) in &entries {
             coo.push(r, c, v);
         }
-        prop_assert_eq!(coo.to_csr_with(4), reference);
+        prop_assert_eq!(coo.to_csr_with(Exact(4)), reference);
     }
 
     #[test]
@@ -105,8 +109,8 @@ proptest! {
     ) {
         let _g = lock();
         let csr = Csr::from_triplets(rows, cols, &entries);
-        prop_assert_eq!(csr.row_normalized_with(threads), csr.row_normalized_with(1));
-        prop_assert_eq!(csr.sym_normalized_with(threads), csr.sym_normalized_with(1));
+        prop_assert_eq!(csr.row_normalized_with(Exact(threads)), csr.row_normalized_with(Exact(1)));
+        prop_assert_eq!(csr.sym_normalized_with(Exact(threads)), csr.sym_normalized_with(Exact(1)));
     }
 }
 
@@ -118,11 +122,11 @@ fn hundred_calls_reuse_one_pool() {
     let _g = lock();
     let a = Matrix::from_fn(37, 53, |r, c| ((r * 13 + c * 31) as f32 * 0.017).sin());
     let b = Matrix::from_fn(53, 29, |r, c| ((r * 7 + c * 11) as f32 * 0.029).cos());
-    let reference = kernels::matmul_serial(&a, &b);
-    let _ = kernels::matmul_with(&a, &b, 4); // warm: pool exists hereafter
+    let reference = reference::matmul_serial(&a, &b);
+    let _ = matmul_on(&a, &b, 4); // warm: pool exists hereafter
     let workers_before = par::pool_workers();
     for call in 0..100 {
-        let got = kernels::matmul_with(&a, &b, 4);
+        let got = matmul_on(&a, &b, 4);
         assert_eq!(got.data(), reference.data(), "call {call} diverged");
     }
     assert_eq!(par::pool_workers(), workers_before, "pool leaked or lost workers across calls");
@@ -133,21 +137,21 @@ fn pool_resizes_with_set_threads() {
     let _g = lock();
     let a = Matrix::from_fn(24, 8, |r, c| (r + c) as f32);
     let b = Matrix::from_fn(8, 6, |r, c| (r * c) as f32);
-    let reference = kernels::matmul_with(&a, &b, 1);
+    let reference = matmul_on(&a, &b, 1);
 
     // Normalize: if an earlier test grew the pool past 3 workers, this
     // shrinks it; if the pool does not exist yet, it is a no-op and the
     // dispatch below lazily spawns exactly the workers it needs (the
     // caller itself runs one chunk).
     par::set_threads(Some(4));
-    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+    assert_eq!(matmul_on(&a, &b, 4).data(), reference.data());
     assert_eq!(par::pool_workers(), 3);
 
     // Shrinks retire and join surplus workers immediately...
     par::set_threads(Some(2));
     assert_eq!(par::pool_workers(), 1);
     // ...and the shrunken pool still computes the right bytes.
-    assert_eq!(kernels::matmul_with(&a, &b, 2).data(), reference.data());
+    assert_eq!(matmul_on(&a, &b, 2).data(), reference.data());
     assert_eq!(par::pool_workers(), 1, "a 2-chunk dispatch must not grow a 1-worker pool");
 
     // An explicit wider dispatch grows the pool on demand. (The
@@ -155,7 +159,7 @@ fn pool_resizes_with_set_threads() {
     // apply here: a programmatic set_threads override is active, and
     // explicit overrides are honored exactly so this suite exercises
     // the full cross-thread machinery on any machine.)
-    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+    assert_eq!(matmul_on(&a, &b, 4).data(), reference.data());
     assert_eq!(par::pool_workers(), 3);
 
     // Raising the configured count grows unconditionally once the pool
@@ -167,7 +171,7 @@ fn pool_resizes_with_set_threads() {
     assert_eq!(par::pool_workers(), 3);
 
     par::set_threads(None);
-    assert_eq!(kernels::matmul_with(&a, &b, 2).data(), reference.data());
+    assert_eq!(matmul_on(&a, &b, 2).data(), reference.data());
 }
 
 #[test]
@@ -209,7 +213,7 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
     let _g = lock();
     let a = Matrix::from_fn(40, 24, |r, c| ((r * 5 + c) as f32 * 0.03).sin());
     let b = Matrix::from_fn(24, 16, |r, c| ((r + 7 * c) as f32 * 0.04).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let reference = reference::matmul_serial(&a, &b);
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
@@ -221,7 +225,7 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
         for _ in 0..2 {
             scope.spawn(|| {
                 for _ in 0..40 {
-                    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+                    assert_eq!(matmul_on(&a, &b, 4).data(), reference.data());
                 }
             });
         }
@@ -259,23 +263,23 @@ fn stealing_dispatch_self_drains_with_no_free_workers() {
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 7 + c) as f32 * 0.05).sin());
     let xt = Matrix::from_fn(80, 8, |r, c| ((r + 11 * c) as f32 * 0.04).cos());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = reference::spmm_serial(&csr, &x);
+    let reference_t = reference::spmm_t_serial(&csr, &xt);
 
-    let _ = kernels::matmul_with(&Matrix::ones(16, 8), &Matrix::ones(8, 8), 4); // pool exists
+    let _ = matmul_on(&Matrix::ones(16, 8), &Matrix::ones(8, 8), 4); // pool exists
     par::set_threads(Some(1));
     assert_eq!(par::pool_workers(), 0, "set_threads(1) must retire every worker");
 
     // threads=1: inline, no growth, no queue traffic.
-    assert_eq!(kernels::spmm_with(&csr, &x, 1).data(), reference.data());
-    assert_eq!(kernels::spmm_t_with(&csr, &xt, 1).data(), reference_t.data());
+    assert_eq!(spmm_on(&csr, &x, 1).data(), reference.data());
+    assert_eq!(spmm_t_on(&csr, &xt, 1).data(), reference_t.data());
     assert_eq!(par::pool_workers(), 0, "a width-1 call must not grow a drained pool");
 
     // A wider stealing dispatch grows the pool on demand (like the
     // static path; the set_threads override is active, so the
     // hardware cap on implicit growth does not apply) and the bytes
     // still match serial exactly.
-    assert_eq!(kernels::spmm_t_with(&csr, &xt, 3).data(), reference_t.data());
+    assert_eq!(spmm_t_on(&csr, &xt, 3).data(), reference_t.data());
     assert!(par::pool_workers() <= 2, "stealing dispatch over-grew the pool");
 
     par::set_threads(None);
@@ -293,14 +297,14 @@ fn stealing_callers_drain_foreign_slots_on_a_starved_pool() {
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 3 + c) as f32 * 0.06).sin());
     let xt = Matrix::from_fn(80, 8, |r, c| ((r + 7 * c) as f32 * 0.03).cos());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = reference::spmm_serial(&csr, &x);
+    let reference_t = reference::spmm_t_serial(&csr, &xt);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..20 {
-                    assert_eq!(kernels::spmm_with(&csr, &x, 3).data(), reference.data());
-                    assert_eq!(kernels::spmm_t_with(&csr, &xt, 3).data(), reference_t.data());
+                    assert_eq!(spmm_on(&csr, &x, 3).data(), reference.data());
+                    assert_eq!(spmm_t_on(&csr, &xt, 3).data(), reference_t.data());
                 }
             });
         }
@@ -316,11 +320,11 @@ fn nested_stealing_calls_run_inline() {
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 4, |r, c| ((r + c) as f32 * 0.02).sin());
-    let reference = kernels::spmm_serial(&csr, &x);
+    let reference = reference::spmm_serial(&csr, &x);
     let results = std::sync::Mutex::new(Vec::new());
     let mut outer = vec![0u8; 4];
     par::for_each_row_chunk(&mut outer, 4, 4, |_range, _chunk| {
-        let inner = kernels::spmm_with(&csr, &x, 4);
+        let inner = spmm_on(&csr, &x, 4);
         results.lock().unwrap().push(inner);
     });
     for (i, got) in results.into_inner().unwrap().iter().enumerate() {
@@ -336,12 +340,12 @@ fn pool_survives_concurrent_dispatchers() {
     let _g = lock();
     let a = Matrix::from_fn(48, 32, |r, c| ((r * 3 + c) as f32 * 0.05).sin());
     let b = Matrix::from_fn(32, 24, |r, c| ((r + 5 * c) as f32 * 0.07).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let reference = reference::matmul_serial(&a, &b);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..25 {
-                    assert_eq!(kernels::matmul_with(&a, &b, 3).data(), reference.data());
+                    assert_eq!(matmul_on(&a, &b, 3).data(), reference.data());
                 }
             });
         }
