@@ -2,46 +2,29 @@
 //! `TrainCheckpoint` codec and the end-to-end atomic save/load round
 //! trip (temp file + fsync + rename), at growing parameter counts.
 //!
-//! Like the other families this is a custom harness. Checkpoints are
-//! built synthetically — codec cost depends only on shapes, so seeded
-//! uniform parameters and Adam moments stand in for trained state.
-//! `from_bytes` includes the full validation walk (checksum, header
-//! bounds, shape tables), which is the cost a resume actually pays.
+//! Checkpoints are built synthetically — codec cost depends only on
+//! shapes, so seeded uniform parameters and Adam moments stand in for
+//! trained state. `from_bytes` includes the full validation walk
+//! (checksum, header bounds, shape tables), which is the cost a resume
+//! actually pays. Rows are archived in `results/bench_checkpoint.json`.
 //!
 //! Run with `cargo bench -p gnmr-bench --bench checkpoint`.
 //! `-- --quick-smoke` short-runs the smallest cell and leaves the
-//! archive untouched.
+//! archive untouched (see `gnmr_bench::harness`).
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use gnmr::autograd::AdamState;
 use gnmr::core::TrainCheckpoint;
 use gnmr::tensor::{init, rng};
+use gnmr_bench::harness::{self, Mode, Row};
 
 /// Embedding width for the synthetic parameter set.
 const DIM: usize = 16;
 
-/// Target wall-clock per measurement cell, split across rounds.
-const TARGET_MS: u128 = 200;
-
-/// Target wall-clock per cell under `--quick-smoke`.
-const SMOKE_MS: u128 = 5;
-
-/// Interleaved rounds; minimum taken (additive noise, as elsewhere).
-const ROUNDS: u128 = 3;
-
 /// Entity counts: each cell carries two `n x DIM` parameter matrices
 /// plus first and second Adam moments for each (6x the payload).
 const CELLS: [usize; 3] = [4_096, 32_768, 262_144];
-
-struct Record {
-    entities: usize,
-    bytes: usize,
-    op: &'static str,
-    ns_per_op: u128,
-    mb_per_sec: u128,
-}
 
 /// A synthetic checkpoint shaped like a trained model's: two parameter
 /// matrices with full Adam moment pairs and a short loss history.
@@ -71,87 +54,47 @@ fn synthetic(entities: usize) -> TrainCheckpoint {
     }
 }
 
-fn measure(block_ms: u128, mut op: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    let mut iters = 0u128;
-    while start.elapsed().as_millis() < block_ms || iters < 2 {
-        op();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() / iters
-}
-
-fn to_json(records: &[Record]) -> String {
-    let lines: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"op\": \"checkpoint_{}\", \"entities\": {}, \"dim\": {DIM}, \
-                 \"bytes\": {}, \"ns_per_op\": {}, \"mb_per_sec\": {}}}",
-                r.op, r.entities, r.bytes, r.ns_per_op, r.mb_per_sec
-            )
-        })
-        .collect();
-    format!("[\n{}\n]", lines.join(",\n"))
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--quick-smoke");
-    let block_ms = if smoke { SMOKE_MS } else { TARGET_MS };
-    let cells: &[usize] = if smoke { &CELLS[..1] } else { &CELLS };
-    println!(
-        "checkpoint benches{}",
-        if smoke { " (quick smoke — smallest cell only)" } else { "" }
-    );
+    let mode = Mode::from_args();
+    let cells: &[usize] = if mode == Mode::Smoke { &CELLS[..1] } else { &CELLS };
+    harness::banner("checkpoint", mode);
 
     let dir = std::env::temp_dir().join(format!("gnmr_bench_ckpt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join("bench.ckpt");
 
-    let mut records = Vec::new();
-    let round_ms = (block_ms / ROUNDS).max(1);
+    let mut rows = Vec::new();
     for &entities in cells {
         let ckpt = synthetic(entities);
         let bytes = ckpt.to_bytes();
-        let size = bytes.len();
-        let mb_per_sec = |ns: u128| (size as u128 * 1_000_000_000) / (ns.max(1) * 1_048_576);
-
-        let mut best = [u128::MAX; 3];
-        for _ in 0..ROUNDS {
-            best[0] = best[0].min(measure(round_ms, || {
+        let ns = harness::time_interleaved(mode, 3, |i| match i {
+            0 => {
                 black_box(ckpt.to_bytes());
-            }));
-            best[1] = best[1].min(measure(round_ms, || {
+            }
+            1 => {
                 black_box(TrainCheckpoint::from_bytes(&bytes).expect("parse"));
-            }));
+            }
             // The end-to-end durable round trip: atomic save (write temp,
             // fsync, rename, fsync dir) then validated load.
-            best[2] = best[2].min(measure(round_ms, || {
+            _ => {
                 ckpt.save(&path).expect("save");
                 black_box(TrainCheckpoint::load(&path).expect("load"));
-            }));
-        }
-        for (op, ns) in [("serialize", best[0]), ("parse", best[1]), ("file_roundtrip", best[2])] {
-            records.push(Record { entities, bytes: size, op, ns_per_op: ns, mb_per_sec: mb_per_sec(ns) });
+            }
+        });
+        for (op, ns) in ["serialize", "parse", "file_roundtrip"].into_iter().zip(ns) {
+            rows.push(
+                Row::new()
+                    .str("op", &format!("checkpoint_{op}"))
+                    .num("entities", entities)
+                    .num("dim", DIM)
+                    .num("bytes", bytes.len())
+                    .num("ns_per_op", ns)
+                    .num("mb_per_sec", (bytes.len() as u128 * 1_000_000_000) / (ns.max(1) * 1_048_576)),
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    println!("\n{:<10} {:>12} {:>16} {:>14} {:>10}", "entities", "bytes", "op", "ns/op", "MB/s");
-    for r in &records {
-        println!(
-            "{:<10} {:>12} {:>16} {:>14} {:>10}",
-            r.entities, r.bytes, r.op, r.ns_per_op, r.mb_per_sec
-        );
-    }
-
-    if smoke {
-        println!("[quick smoke — results/bench_checkpoint.json left untouched]");
-        return;
-    }
-    let out = gnmr_bench::output::results_dir().join("bench_checkpoint.json");
-    match std::fs::write(&out, to_json(&records)) {
-        Ok(()) => println!("[saved {}]", out.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
-    }
+    harness::print_table(&rows);
+    harness::write_archive(mode, "bench_checkpoint.json", rows);
 }

@@ -8,8 +8,12 @@
 //! Scale: by default the harness runs the `*_small` dataset presets with
 //! a reduced (but converged-enough) training budget so the full suite
 //! finishes in minutes. Set `GNMR_FULL=1` for the heavier budget.
+//!
+//! The custom benches under `benches/` share [`harness`]: one timer,
+//! one archive row format, one regression-gate preamble.
 
 pub mod alloc;
 pub mod experiments;
+pub mod harness;
 pub mod output;
 pub mod registry;
