@@ -196,10 +196,7 @@ mod tests {
         let err = max_grad_error(&store, 1e-3, |ctx| {
             let pos = ctx.param("pos");
             let neg = ctx.param("neg");
-            let diff = ctx.g.sub(neg, pos);
-            let margin = ctx.g.add_scalar(diff, 1.0);
-            let h = ctx.g.relu(margin);
-            ctx.g.mean(h)
+            crate::nn::pairwise_hinge(&mut ctx.g, pos, neg)
         });
         assert!(err < 2e-2, "err {err}");
     }

@@ -8,7 +8,18 @@ use gnmr_tensor::{init, Matrix};
 use rand::Rng;
 
 use crate::params::{Ctx, ParamStore};
-use crate::tape::Var;
+use crate::tape::{Graph, Var};
+
+/// The pairwise hinge loss of the paper's Eq. 7,
+/// `mean(max(0, 1 - pos + neg))`, over matching `(n, 1)` columns of
+/// positive and negative scores, as a 1x1 tape node. GNMR and every
+/// pairwise-trained baseline score their batches through this one head.
+pub fn pairwise_hinge(g: &mut Graph, pos: Var, neg: Var) -> Var {
+    let diff = g.sub(neg, pos);
+    let margin = g.add_scalar(diff, 1.0);
+    let hinge = g.relu(margin);
+    g.mean(hinge)
+}
 
 /// Activation functions used between layers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -1,88 +1,30 @@
-//! First-order optimizers.
+//! The optimizer and the one training step built on it.
 //!
 //! The paper trains GNMR with Adam (lr `1e-3`, decay rate 0.96); the
 //! Frobenius regularization `lambda * ||Theta||_F^2` of Eq. 7 is applied
 //! here as coupled L2 weight decay (`grad += 2 * lambda * w`), which is
 //! its exact gradient.
 //!
-//! Both optimizers update through **fused single-pass kernels**
-//! ([`sgd_step`] / [`adam_step`]): weight decay, moment updates, and
-//! the parameter write happen in one sweep over each tensor, with no
-//! temporary matrices — the steady-state optimizer path performs zero
-//! heap allocations (Adam's moment buffers are minted once, on a
-//! parameter's first step). The fused loops evaluate exactly the same
-//! per-element expressions, in the same order, as the historical
-//! materialize-temporaries implementation, so updates are bitwise
-//! identical to it.
+//! Adam updates through a **fused single-pass kernel** ([`adam_step`]):
+//! weight decay, moment updates, and the parameter write happen in one
+//! sweep over each tensor, with no temporary matrices — the
+//! steady-state optimizer path performs zero heap allocations (the
+//! moment buffers are minted once, on a parameter's first step). The
+//! fused loop evaluates exactly the same per-element expressions, in
+//! the same order, as the historical materialize-temporaries
+//! implementation, so updates are bitwise identical to it.
+//!
+//! [`Trainer`] is the training protocol every model shares (paper
+//! Algorithm 1): arena-backed backward, global-norm clipping, one Adam
+//! update per step, and an lr decay plus mean loss per epoch.
 
 use std::collections::BTreeMap;
 
 use gnmr_tensor::kernels::LANES;
-use gnmr_tensor::Matrix;
+use gnmr_tensor::{Arena, Matrix};
 
-use crate::params::{Grads, ParamStore};
-
-/// Fused SGD update for one tensor: `w -= lr * (g + 2*wd*w)`, one pass,
-/// no temporaries. The loop body is blocked into fixed
-/// [`LANES`]-element groups (explicit scalar remainder) so LLVM
-/// autovectorizes it; the update is elementwise, so blocking changes
-/// no accumulation order and per element this is still the exact float
-/// sequence of the old clone-then-`add_scaled_assign` path.
-pub fn sgd_step(w: &mut Matrix, g: &Matrix, lr: f32, weight_decay: f32) {
-    assert_eq!(w.shape(), g.shape(), "sgd_step: shape mismatch");
-    let nlr = -lr;
-    if weight_decay > 0.0 {
-        let s = 2.0 * weight_decay;
-        let mut wc = w.data_mut().chunks_exact_mut(LANES);
-        let mut gc = g.data().chunks_exact(LANES);
-        for (wb, gb) in (&mut wc).zip(&mut gc) {
-            for l in 0..LANES {
-                let eff = gb[l] + s * wb[l];
-                wb[l] += nlr * eff;
-            }
-        }
-        for (wv, &gv) in wc.into_remainder().iter_mut().zip(gc.remainder()) {
-            let eff = gv + s * *wv;
-            *wv += nlr * eff;
-        }
-    } else {
-        let mut wc = w.data_mut().chunks_exact_mut(LANES);
-        let mut gc = g.data().chunks_exact(LANES);
-        for (wb, gb) in (&mut wc).zip(&mut gc) {
-            for l in 0..LANES {
-                wb[l] += nlr * gb[l];
-            }
-        }
-        for (wv, &gv) in wc.into_remainder().iter_mut().zip(gc.remainder()) {
-            *wv += nlr * gv;
-        }
-    }
-}
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Coupled L2 coefficient (the paper's `lambda`, applied as `2*lambda*w`).
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, weight_decay: 0.0 }
-    }
-
-    /// Applies one update step (fused, allocation-free).
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Grads) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        for (name, w) in store.iter_mut() {
-            if let Some(g) = grads.get(name) {
-                sgd_step(w, g, lr, wd);
-            }
-        }
-    }
-}
+use crate::params::{Ctx, Grads, ParamStore};
+use crate::tape::Var;
 
 /// Adam (Kingma & Ba) with coupled L2 weight decay and optional
 /// exponential learning-rate decay, matching the paper's training setup.
@@ -246,11 +188,10 @@ pub struct AdamStep {
 /// with no temporaries. Element-for-element the same float expressions
 /// (and evaluation order) as the historical
 /// clone/`scale_assign`/`add_scaled_assign`/`hadamard` sequence, so
-/// updates are bitwise identical to it. Like [`sgd_step`] the pass is
-/// blocked into fixed [`LANES`]-element groups with the weight-decay
-/// branch hoisted out of the loop, so LLVM vectorizes the whole update
-/// chain (including the `sqrt` and divides); blocking an elementwise
-/// update reorders nothing.
+/// updates are bitwise identical to it. The pass is blocked into fixed
+/// [`LANES`]-element groups with the weight-decay branch hoisted out of
+/// the loop, so LLVM vectorizes the whole update chain (including the
+/// `sqrt` and divides); blocking an elementwise update reorders nothing.
 pub fn adam_step(w: &mut Matrix, g: &Matrix, m: &mut Matrix, v: &mut Matrix, p: &AdamStep) {
     assert_eq!(w.shape(), g.shape(), "adam_step: grad shape mismatch");
     assert_eq!(w.shape(), m.shape(), "adam_step: first-moment shape mismatch");
@@ -307,6 +248,94 @@ pub fn adam_step(w: &mut Matrix, g: &Matrix, m: &mut Matrix, v: &mut Matrix, p: 
     }
 }
 
+/// The training step every model shares (paper Algorithm 1): the
+/// arena-backed backward pass, global-norm gradient clipping, one
+/// [`Adam`] update, and at each epoch boundary the lr decay and the
+/// epoch's mean loss.
+///
+/// A step is two calls. [`Trainer::backward`] consumes the step's
+/// [`Ctx`], which ends its borrow of the [`ParamStore`], so
+/// [`Trainer::update`] can then take the store mutably — a model whose
+/// forward pass borrows itself needs that split, and a benchmark can
+/// time the backward + update window on its own. The gradient map is
+/// reused across steps, so with a warm [`Arena`] the whole window
+/// performs no heap allocation.
+///
+/// ```
+/// use gnmr_autograd::{Adam, Arena, Ctx, ParamStore, Trainer};
+/// use gnmr_tensor::Matrix;
+///
+/// let mut store = ParamStore::new();
+/// store.insert("w", Matrix::from_vec(1, 2, vec![3.0, -2.0]));
+/// let arena = Arena::new();
+/// let mut trainer = Trainer::new(Adam::new(0.1), 0.0);
+/// for _epoch in 0..20 {
+///     for _step in 0..10 {
+///         let mut ctx = Ctx::new(&store);
+///         let w = ctx.param("w");
+///         let sq = ctx.g.sqr(w);
+///         let loss = ctx.g.sum(sq);
+///         trainer.backward(ctx, loss, &arena);
+///         trainer.update(&mut store);
+///     }
+///     assert!(trainer.end_epoch().is_finite());
+/// }
+/// assert!(store.get("w").max_abs() < 0.05);
+/// ```
+pub struct Trainer {
+    /// The optimizer, public so a checkpoint can export and restore its
+    /// state.
+    pub opt: Adam,
+    clip: f32,
+    grads: Grads,
+    loss_sum: f32,
+    steps: usize,
+}
+
+impl Trainer {
+    /// A trainer updating through `opt` that clips each step's
+    /// gradients to global L2 norm `clip` (`0.0` disables clipping).
+    pub fn new(opt: Adam, clip: f32) -> Self {
+        Self { opt, clip, grads: Grads::default(), loss_sum: 0.0, steps: 0 }
+    }
+
+    /// Runs backward from the scalar `loss` through `arena` into the
+    /// reused gradient map, adds the loss to the epoch's sum, and
+    /// returns its value. Consumes the step's tape.
+    pub fn backward(&mut self, mut ctx: Ctx<'_>, loss: Var, arena: &Arena) -> f32 {
+        let value = ctx.g.value(loss).scalar_value();
+        self.loss_sum += value;
+        self.steps += 1;
+        ctx.grads_into(loss, arena, &mut self.grads);
+        value
+    }
+
+    /// Clips the gradients of the last [`Trainer::backward`] and
+    /// applies one Adam update to `store`.
+    pub fn update(&mut self, store: &mut ParamStore) {
+        if self.clip > 0.0 {
+            self.grads.clip_global_norm(self.clip);
+        }
+        self.opt.step(store, &self.grads);
+    }
+
+    /// Closes an epoch: decays the lr once and returns the mean loss
+    /// over the steps that ran since the last call (NaN if none ran).
+    pub fn end_epoch(&mut self) -> f32 {
+        self.opt.decay_lr();
+        let mean = if self.steps > 0 { self.loss_sum / self.steps as f32 } else { f32::NAN };
+        self.loss_sum = 0.0;
+        self.steps = 0;
+        mean
+    }
+
+    /// Hands the held gradient buffers back to `arena`, so a later
+    /// training run on the same arena starts fully warm.
+    pub fn recycle(&mut self, arena: &Arena) {
+        self.grads.recycle(arena);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,13 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut opt = Sgd::new(0.05);
-        let err = quadratic_converges(|s, g| opt.step(s, g));
-        assert!(err < 1e-3, "SGD did not converge: err {err}");
-    }
-
-    #[test]
     fn adam_minimizes_quadratic() {
         let mut opt = Adam::new(0.05);
         let err = quadratic_converges(|s, g| opt.step(s, g));
@@ -350,8 +372,7 @@ mod tests {
         // With a zero-gradient loss, weight decay alone must shrink weights.
         let mut store = ParamStore::new();
         store.insert("w", Matrix::filled(1, 2, 4.0));
-        let mut opt = Sgd::new(0.1);
-        opt.weight_decay = 0.5;
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
         for _ in 0..10 {
             let mut ctx = Ctx::new(&store);
             let w = ctx.param("w");
@@ -360,7 +381,8 @@ mod tests {
             let grads = ctx.grads(loss);
             opt.step(&mut store, &grads);
         }
-        assert!(store.get("w").max_abs() < 4.0 * 0.95f32.powi(9));
+        // Adam's normalized step moves each weight by about lr per step.
+        assert!(store.get("w").max_abs() < 3.5);
     }
 
     #[test]
@@ -417,5 +439,99 @@ mod tests {
         // "b" had no gradient and must be untouched.
         assert_eq!(store.get("b").scalar_value(), 1.0);
         assert!(store.get("a").scalar_value() < 1.0);
+    }
+
+    /// A loss with large gradients (`sum(w^2 * 10)`), so a clip bound
+    /// of 1 always bites.
+    fn steep_loss(ctx: &mut Ctx<'_>) -> Var {
+        let a = ctx.param("a");
+        let b = ctx.param("b");
+        let sa = ctx.g.sqr(a);
+        let sb = ctx.g.sqr(b);
+        let sum_a = ctx.g.sum(sa);
+        let sum_b = ctx.g.sum(sb);
+        let total = ctx.g.add(sum_a, sum_b);
+        ctx.g.scale(total, 10.0)
+    }
+
+    fn steep_store() -> ParamStore {
+        let mut store = ParamStore::new();
+        store.insert("a", Matrix::from_vec(2, 3, vec![1.0, -2.0, 3.0, 0.5, -0.25, 4.0]));
+        store.insert("b", Matrix::from_vec(1, 9, (0..9).map(|i| i as f32 * 0.3 - 1.0).collect()));
+        store
+    }
+
+    fn bits(store: &ParamStore) -> Vec<u32> {
+        store.iter().flat_map(|(_, m)| m.data().iter().map(|v| v.to_bits())).collect()
+    }
+
+    #[test]
+    fn trainer_step_matches_hand_written_protocol() {
+        let adam = || Adam::new(0.05).with_weight_decay(1e-3);
+        let (mut by_hand, mut by_trainer) = (steep_store(), steep_store());
+        let (arena, trainer_arena) = (Arena::new(), Arena::new());
+        let mut grads = Grads::default();
+        let mut opt = adam();
+        let mut trainer = Trainer::new(adam(), 1.0);
+        for _ in 0..4 {
+            let mut ctx = Ctx::new(&by_hand);
+            let loss = steep_loss(&mut ctx);
+            let expect = ctx.g.value(loss).scalar_value();
+            ctx.grads_into(loss, &arena, &mut grads);
+            drop(ctx);
+            assert!(grads.clip_global_norm(1.0) < 1.0, "the clip bound must bite");
+            opt.step(&mut by_hand, &grads);
+
+            let mut ctx = Ctx::new(&by_trainer);
+            let loss = steep_loss(&mut ctx);
+            let got = trainer.backward(ctx, loss, &trainer_arena);
+            trainer.update(&mut by_trainer);
+
+            assert_eq!(got.to_bits(), expect.to_bits());
+            assert_eq!(bits(&by_trainer), bits(&by_hand));
+        }
+        assert_eq!(trainer.opt.steps(), opt.steps());
+    }
+
+    #[test]
+    fn trainer_with_zero_clip_leaves_gradients_unclipped() {
+        let store = steep_store();
+        let mut ctx = Ctx::new(&store);
+        let loss = steep_loss(&mut ctx);
+        let expect = ctx.grads(loss);
+        assert!(expect.global_norm() > 1.0);
+
+        let mut trained = steep_store();
+        let mut trainer = Trainer::new(Adam::new(0.05), 0.0);
+        let mut ctx = Ctx::new(&trained);
+        let loss = steep_loss(&mut ctx);
+        trainer.backward(ctx, loss, &Arena::new());
+        trainer.update(&mut trained);
+        for (name, g) in expect.iter() {
+            let got = trainer.grads.get(name).expect("gradient kept after update");
+            assert_eq!(got.data(), g.data(), "{name} was clipped");
+        }
+    }
+
+    #[test]
+    fn end_epoch_means_the_steps_that_ran_and_decays_once() {
+        let mut store = ParamStore::new();
+        store.insert("w", Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let arena = Arena::new();
+        let mut trainer = Trainer::new(Adam::new(1.0), 0.0);
+        let mut losses = Vec::new();
+        for _ in 0..3 {
+            let mut ctx = Ctx::new(&store);
+            let w = ctx.param("w");
+            let loss = ctx.g.sum(w);
+            losses.push(trainer.backward(ctx, loss, &arena));
+            trainer.update(&mut store);
+        }
+        let expect = (losses[0] + losses[1] + losses[2]) / 3.0;
+        assert_eq!(trainer.end_epoch().to_bits(), expect.to_bits());
+        assert_eq!(trainer.opt.lr, 0.96);
+        // An epoch in which no step ran has no mean, and still decays once.
+        assert!(trainer.end_epoch().is_nan());
+        assert_eq!(trainer.opt.lr, 0.96f32 * 0.96);
     }
 }

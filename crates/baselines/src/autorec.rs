@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Activation, Adam, Ctx, Linear, ParamStore};
+use gnmr_autograd::{Activation, Arena, Ctx, Linear, ParamStore};
 use gnmr_eval::Recommender;
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
 use gnmr_tensor::{rng, Matrix};
 use rand::Rng;
 
-use crate::common::{dense_rows, BaselineConfig};
+use crate::common::{self, dense_rows, BaselineConfig};
 
 /// A trained AutoRec model: the full reconstruction matrix.
 pub struct AutoRec {
@@ -31,7 +31,8 @@ impl AutoRec {
         let j = graph.n_items();
         let enc = Linear::new(&mut store, &mut init_rng, "enc", j, cfg.dim * 2);
         let dec = Linear::new(&mut store, &mut init_rng, "dec", cfg.dim * 2, j);
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        let arena = Arena::new();
+        let mut trainer = common::trainer(cfg);
 
         let ui = Arc::clone(graph.target_user_item());
         let sampler = BatchSampler::new(graph);
@@ -40,7 +41,6 @@ impl AutoRec {
         let steps = sampler.eligible_users().len().div_ceil(users_per_step).max(1);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
             for _ in 0..steps {
                 let eligible = sampler.eligible_users();
                 if eligible.is_empty() {
@@ -69,13 +69,10 @@ impl AutoRec {
                 let sq = ctx.g.sqr(diff);
                 let masked = ctx.g.mul(sq, maskv);
                 let loss = ctx.g.mean(masked);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
+                trainer.backward(ctx, loss, &arena);
+                trainer.update(&mut store);
             }
-            opt.decay_lr();
-            losses.push(epoch_loss / steps as f32);
+            losses.push(trainer.end_epoch());
         }
 
         // Reconstruct every user once.

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Var};
+use gnmr_autograd::{pairwise_hinge, Adam, Arena, Ctx, Trainer, Var};
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
 use gnmr_tensor::rng;
 
@@ -49,10 +49,16 @@ impl BaselineConfig {
     }
 }
 
+/// The baselines' shared [`Trainer`]: Adam at `cfg`'s lr and weight
+/// decay, gradients clipped to global norm 5.
+pub(crate) fn trainer(cfg: &BaselineConfig) -> Trainer {
+    Trainer::new(Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay), 5.0)
+}
+
 /// Runs a standard pairwise-hinge training loop: each step the `step_fn`
 /// receives `(ctx, users, pos_items, neg_items)` and must return the
 /// `(pos_scores, neg_scores)` column vectors; this helper applies the
-/// hinge loss and one Adam update. Returns per-epoch mean losses.
+/// hinge loss and one [`Trainer`] step. Returns per-epoch mean losses.
 pub fn train_pairwise<F>(
     graph: &MultiBehaviorGraph,
     store: &mut gnmr_autograd::ParamStore,
@@ -63,7 +69,8 @@ where
     F: FnMut(&mut Ctx<'_>, Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Vec<u32>>) -> (Var, Var),
 {
     let sampler = BatchSampler::new(graph);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+    let arena = Arena::new();
+    let mut trainer = trainer(cfg);
     let mut sample_rng = rng::substream(cfg.seed, 0xBA5E);
     let steps_per_epoch = sampler
         .eligible_users()
@@ -72,8 +79,6 @@ where
         .max(1);
     let mut losses = Vec::with_capacity(cfg.epochs);
     for _ in 0..cfg.epochs {
-        let mut epoch_loss = 0.0;
-        let mut counted = 0usize;
         for _ in 0..steps_per_epoch {
             let batch = sampler.sample(cfg.batch_users, cfg.samples_per_user, &mut sample_rng);
             if batch.is_empty() {
@@ -84,18 +89,11 @@ where
             let neg = Arc::new(batch.neg_items);
             let mut ctx = Ctx::new(store);
             let (pos_scores, neg_scores) = step_fn(&mut ctx, users, pos, neg);
-            let diff = ctx.g.sub(neg_scores, pos_scores);
-            let margin = ctx.g.add_scalar(diff, 1.0);
-            let hinge = ctx.g.relu(margin);
-            let loss = ctx.g.mean(hinge);
-            epoch_loss += ctx.g.value(loss).scalar_value();
-            counted += 1;
-            let mut grads = ctx.grads(loss);
-            grads.clip_global_norm(5.0);
-            opt.step(store, &grads);
+            let loss = pairwise_hinge(&mut ctx.g, pos_scores, neg_scores);
+            trainer.backward(ctx, loss, &arena);
+            trainer.update(store);
         }
-        opt.decay_lr();
-        losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+        losses.push(trainer.end_epoch());
     }
     losses
 }

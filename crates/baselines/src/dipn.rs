@@ -2,21 +2,21 @@
 //! attention over a GRU run across the user's time-ordered multi-behavior
 //! interaction sequence.
 //!
-//! Reduction (see DESIGN.md): the original predicts real-time purchasing
-//! intent from rich page features; here the sequence elements are
-//! `item embedding + behavior-type embedding` over the user's last `T`
-//! training events, the GRU's states are attention-pooled into a user
-//! intent vector, and the score is its dot product with a separate output
-//! item embedding.
+//! Reduction: the original predicts real-time purchasing intent from
+//! rich page features, which the workspace's datasets do not carry;
+//! here the sequence elements are `item embedding + behavior-type
+//! embedding` over the user's last `T` training events, the GRU's states
+//! are attention-pooled into a user intent vector, and the score is its
+//! dot product with a separate output item embedding.
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, GruCell, ParamStore, Var};
+use gnmr_autograd::{pairwise_hinge, Arena, Ctx, GruCell, ParamStore, Var};
 use gnmr_eval::Recommender;
 use gnmr_graph::{BatchSampler, InteractionLog, MultiBehaviorGraph};
 use gnmr_tensor::{init, rng, Matrix};
 
-use crate::common::BaselineConfig;
+use crate::common::{self, BaselineConfig};
 
 /// Sequence length used by the GRU.
 const SEQ_LEN: usize = 12;
@@ -121,7 +121,8 @@ impl Dipn {
         let net = DipnNet { gru, dim: cfg.dim };
 
         let sampler = BatchSampler::new(graph);
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        let arena = Arena::new();
+        let mut trainer = common::trainer(cfg);
         let mut sample_rng = rng::substream(cfg.seed, 0xD19B);
         let steps = sampler
             .eligible_users()
@@ -130,8 +131,6 @@ impl Dipn {
             .max(1);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut counted = 0;
             for _ in 0..steps {
                 let batch = sampler.sample(cfg.batch_users, cfg.samples_per_user, &mut sample_rng);
                 if batch.is_empty() {
@@ -150,18 +149,11 @@ impl Dipn {
                 };
                 let p = score(&mut ctx, batch.pos_items);
                 let n = score(&mut ctx, batch.neg_items);
-                let diff = ctx.g.sub(n, p);
-                let margin = ctx.g.add_scalar(diff, 1.0);
-                let hinge = ctx.g.relu(margin);
-                let loss = ctx.g.mean(hinge);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
+                let loss = pairwise_hinge(&mut ctx.g, p, n);
+                trainer.backward(ctx, loss, &arena);
+                trainer.update(&mut store);
             }
-            opt.decay_lr();
-            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+            losses.push(trainer.end_epoch());
         }
 
         // Materialize intent vectors for all users.

@@ -15,8 +15,9 @@
 //! | [`nmtr`] | NMTR | multi-task cascaded multi-behavior model |
 //! | [`dipn`] | DIPN | attention + GRU over behavior sequences |
 //!
-//! Documented simplifications for NADE / CF-UIcA / DIPN are listed in
-//! DESIGN.md section 3.
+//! NADE, CF-UIcA and DIPN were designed for explicit ratings or rich
+//! page features; each module header states how it is reduced to the
+//! implicit multi-behavior feedback this workspace trains on.
 
 pub mod autorec;
 pub mod bias_mf;

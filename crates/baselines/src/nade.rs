@@ -1,8 +1,9 @@
 //! NADE (Zheng et al., ICML 2016): neural autoregressive collaborative
 //! filtering with parameter sharing.
 //!
-//! Implicit-feedback reduction (see DESIGN.md): a single conditional step
-//! given the user's observed item set. The hidden state is
+//! Implicit-feedback reduction, because the original models explicit
+//! rating distributions and this workspace observes only interactions:
+//! a single conditional step given the user's observed item set. The hidden state is
 //! `h_u = tanh(c + sum_{j in obs(u)} W_j)` — computed for all users at
 //! once as `tanh(A W + c)` with the target adjacency `A` — and an item's
 //! conditional score is `b_i + V_i . h_u`. The weight-sharing,

@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, ParamStore, Var};
+use gnmr_autograd::{pairwise_hinge, Arena, Ctx, ParamStore, Var};
 use gnmr_eval::Recommender;
 use gnmr_graph::MultiBehaviorGraph;
 use gnmr_tensor::{init, rng, Matrix};
 use rand::Rng;
 
-use crate::common::BaselineConfig;
+use crate::common::{self, BaselineConfig};
 
 /// A trained NMTR model.
 pub struct Nmtr {
@@ -81,7 +81,8 @@ impl Nmtr {
             })
             .collect();
 
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        let arena = Arena::new();
+        let mut trainer = common::trainer(cfg);
         let mut sample_rng = rng::substream(cfg.seed, 0x4274);
         let steps = eligible[graph.target()]
             .len()
@@ -89,7 +90,6 @@ impl Nmtr {
             .max(1);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
             for _ in 0..steps {
                 let mut ctx = Ctx::new(&store);
                 let mut total: Option<Var> = None;
@@ -120,23 +120,17 @@ impl Nmtr {
                     let users = Arc::new(users);
                     let p_logit = cascade_logit(&mut ctx, k, users.clone(), Arc::new(pos));
                     let n_logit = cascade_logit(&mut ctx, k, users, Arc::new(neg));
-                    let diff = ctx.g.sub(n_logit, p_logit);
-                    let margin = ctx.g.add_scalar(diff, 1.0);
-                    let hinge = ctx.g.relu(margin);
-                    let task_loss = ctx.g.mean(hinge);
+                    let task_loss = pairwise_hinge(&mut ctx.g, p_logit, n_logit);
                     total = Some(match total {
                         Some(t) => ctx.g.add(t, task_loss),
                         None => task_loss,
                     });
                 }
                 let Some(loss) = total else { continue };
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
+                trainer.backward(ctx, loss, &arena);
+                trainer.update(&mut store);
             }
-            opt.decay_lr();
-            losses.push(epoch_loss / steps as f32);
+            losses.push(trainer.end_epoch());
         }
         Self { store, n_behaviors: k_types, target: graph.target(), losses }
     }

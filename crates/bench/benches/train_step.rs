@@ -16,7 +16,7 @@
 //!
 //! Allocation counts come from the counting global allocator installed
 //! by `gnmr_bench::alloc`, taken as a before/after delta around the
-//!   `grads_into` → `clip` → `opt.step` region. Counts are exact
+//! `Trainer::backward` + `Trainer::update` window. Counts are exact
 //! integers, so `results/bench_train_step.json` rows are comparable
 //! across machines — which is why the CI allocation gate
 //! (`--regression-gate`) checks *counts*, not timings, and stays
@@ -30,7 +30,7 @@
 
 use std::hint::black_box;
 
-use gnmr::autograd::{Adam, Arena, Ctx, Grads};
+use gnmr::autograd::{Adam, Arena, Ctx, Trainer};
 use gnmr::core::hinge_loss;
 use gnmr::graph::{BatchSampler, TrainBatch};
 use gnmr::prelude::*;
@@ -44,11 +44,12 @@ use gnmr_bench::harness::{self, Mode, Row};
 const WARMUP_STEPS: usize = 3;
 
 /// The fixed training workload: a tiny MovieLens-like model plus one
-/// pre-sampled batch, so every measured step does identical work.
+/// pre-sampled batch, so every measured step does identical work, and
+/// the trainer `Gnmr::fit` would build for it.
 struct Workload {
     model: Gnmr,
     batch: TrainBatch,
-    opt: Adam,
+    trainer: Trainer,
 }
 
 fn workload() -> Workload {
@@ -60,33 +61,40 @@ fn workload() -> Workload {
     let mut rng = gnmr::tensor::rng::substream(7, 0x7212);
     let batch = sampler.sample(tcfg.batch_users, tcfg.samples_per_user, &mut rng);
     assert!(!batch.is_empty(), "train_step bench: empty batch");
-    let opt = Adam::new(tcfg.lr).with_weight_decay(tcfg.weight_decay);
-    Workload { model, batch, opt }
+    let trainer = Trainer::new(Adam::new(tcfg.lr).with_weight_decay(tcfg.weight_decay), tcfg.grad_clip);
+    Workload { model, batch, trainer }
 }
 
-/// One full training step (the `Gnmr::fit` inner loop: its forward and
-/// its loss head, [`hinge_loss`]), returning the allocation delta of
-/// the backward + optimizer region.
-fn train_step(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u64 {
+/// One full training step (the `Gnmr::fit` inner loop: its forward, its
+/// loss head [`hinge_loss`], and the trainer step), returning the
+/// allocation delta of the backward + optimizer window.
+fn train_step(w: &mut Workload, arena: &Arena) -> u64 {
     let mut ctx = Ctx::new(w.model.params());
     let (user_orders, item_orders) = w.model.forward(&mut ctx);
     let loss = hinge_loss(&mut ctx.g, &user_orders, &item_orders, w.batch.clone());
 
     let before = alloc::allocations();
-    ctx.grads_into(loss, arena, grads);
-    drop(ctx);
-    grads.clip_global_norm(5.0);
-    w.opt.step(w.model.params_mut(), grads);
+    w.trainer.backward(ctx, loss, arena);
+    w.trainer.update(w.model.params_mut());
     alloc::allocations() - before
+}
+
+/// The `fresh_arena` step: a cold arena and a cold gradient map, as in
+/// the allocate-per-op backward from before the arena existed. Only the
+/// optimizer's state carries over between steps.
+fn fresh_step(w: &mut Workload) -> u64 {
+    let opt = std::mem::replace(&mut w.trainer.opt, Adam::new(0.0));
+    w.trainer = Trainer::new(opt, TrainConfig::fast_test().grad_clip);
+    train_step(w, &Arena::new())
 }
 
 /// Runs the steady-arena workload to a settled state and returns the
 /// allocation count of one steady step. Shared by the bench rows and
 /// the regression gate.
-fn steady_state_allocs(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u64 {
+fn steady_state_allocs(w: &mut Workload, arena: &Arena) -> u64 {
     let mut allocs = 0;
     for _ in 0..WARMUP_STEPS {
-        allocs = train_step(w, arena, grads);
+        allocs = train_step(w, arena);
     }
     allocs
 }
@@ -126,7 +134,7 @@ fn regression_gate() -> ! {
     // so the measurement is exactly the serial allocation profile the
     // baseline recorded, regardless of the runner's GNMR_THREADS.
     par::set_threads(Some(1));
-    let steady = steady_state_allocs(&mut workload(), &Arena::new(), &mut Grads::default());
+    let steady = steady_state_allocs(&mut workload(), &Arena::new());
     let (pa, pb, mut pdst) = pack_workload();
     let pack = steady_pack_allocs(&mut pdst, &pa, &pb);
     let steady_what = "steady-state backward + optimizer allocs/step (1 thread)";
@@ -155,15 +163,14 @@ fn main() {
     let mut w_fresh = workload();
     let mut w_steady = workload();
     let arena = Arena::new();
-    let mut grads = Grads::default();
-    let warm = steady_state_allocs(&mut w_steady, &arena, &mut grads);
+    let warm = steady_state_allocs(&mut w_steady, &arena);
     let (pa, pb, mut pdst) = pack_workload();
     let pack_allocs = steady_pack_allocs(&mut pdst, &pa, &pb);
 
     let mut allocs = [0u64, 0, pack_allocs];
     let ns = harness::time_interleaved(mode, 3, |i| match i {
-        0 => allocs[0] = black_box(train_step(&mut w_fresh, &Arena::new(), &mut Grads::default())),
-        1 => allocs[1] = black_box(train_step(&mut w_steady, &arena, &mut grads)),
+        0 => allocs[0] = black_box(fresh_step(&mut w_fresh)),
+        1 => allocs[1] = black_box(train_step(&mut w_steady, &arena)),
         _ => {
             kernels::matmul(&mut pdst, &pa, &pb, Assign, Exact(1));
             black_box(&pdst);

@@ -2,8 +2,9 @@
 //!
 //! Every function returns a rendered text artifact; the `repro_*`
 //! binaries print it and archive it under `results/`. Absolute values
-//! differ from the paper (synthetic data, see DESIGN.md section 2); the
-//! comparisons in EXPERIMENTS.md are about the *shape* of each result.
+//! differ from the paper, because the datasets are seeded synthetic
+//! stand-ins for the raw ones (see `gnmr_data`); what carries over is
+//! the *shape* of each result.
 
 use gnmr::eval::table::fmt_metric;
 use gnmr::prelude::*;

@@ -220,17 +220,15 @@ impl TrainCheckpoint {
 }
 
 /// Checkpointing policy for [`crate::Gnmr::fit_checkpointed`]: where to
-/// write, how often, whether to resume, and the fault plan every I/O
-/// operation is routed through (production: [`FaultPlan::none`]).
+/// write, how often, and the fault plan every I/O operation is routed
+/// through (production: [`FaultPlan::none`]). A fit always resumes from
+/// a checkpoint already at `path`.
 #[derive(Debug)]
 pub struct Checkpointing {
     /// Checkpoint file path; each write atomically replaces it.
     pub path: PathBuf,
     /// Checkpoint after every `every` completed epochs (must be ≥ 1).
     pub every: usize,
-    /// If `path` holds a checkpoint when the fit starts, resume from it
-    /// instead of training from scratch.
-    pub resume: bool,
     /// Fault plan for crash drills; all checkpoint I/O flows through it.
     pub plan: FaultPlan,
 }
@@ -240,7 +238,7 @@ impl Checkpointing {
     /// already holds a checkpoint, with no fault injection.
     pub fn every(path: impl Into<PathBuf>, every: usize) -> Self {
         assert!(every >= 1, "Checkpointing: `every` must be >= 1");
-        Checkpointing { path: path.into(), every, resume: true, plan: FaultPlan::none() }
+        Checkpointing { path: path.into(), every, plan: FaultPlan::none() }
     }
 
     /// Replaces the fault plan, builder-style (crash drills).

@@ -74,9 +74,6 @@ pub struct GnmrConfig {
     pub pretrain: bool,
     /// Epochs of autoencoder pre-training when `pretrain` is set.
     pub pretrain_epochs: usize,
-    /// Apply the paper's literal double residual in xi (`attn + 2h`)
-    /// instead of the single residual (`attn + h`). See DESIGN.md.
-    pub double_residual: bool,
     /// Model initialization seed.
     pub seed: u64,
 }
@@ -93,7 +90,6 @@ impl Default for GnmrConfig {
             variant: GnmrVariant::full(),
             pretrain: true,
             pretrain_epochs: 4,
-            double_residual: false,
             seed: 1,
         }
     }

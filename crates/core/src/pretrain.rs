@@ -7,7 +7,7 @@
 //! behaviors, so every behavior contributes signal) and keep the encoder
 //! output as the initial embedding.
 
-use gnmr_autograd::{Activation, Adam, Arena, Ctx, Grads, Linear, ParamStore};
+use gnmr_autograd::{Activation, Adam, Arena, Ctx, Linear, ParamStore, Trainer};
 use gnmr_graph::MultiBehaviorGraph;
 use gnmr_tensor::{rng, Csr, Matrix};
 use rand::seq::SliceRandom;
@@ -46,16 +46,17 @@ fn autoencode(
     let mut init_rng = rng::substream(seed, 0xAE);
     let enc = Linear::new(&mut store, &mut init_rng, "enc", profile_width, dim);
     let dec = Linear::new(&mut store, &mut init_rng, "dec", dim, profile_width);
-    let mut opt = Adam::new(5e-3);
+    // Pre-training runs at a constant lr with unclipped gradients, so
+    // the trainer's epoch boundary (lr decay) is never taken.
+    let mut trainer = Trainer::new(Adam::new(5e-3), 0.0);
 
     let mut order: Vec<u32> = (0..n_entities as u32).collect();
     let mut shuffle_rng = rng::substream(seed, 0xAF);
     let batch = 128.min(n_entities.max(1));
     // Same allocation discipline as the main trainer: one arena and one
-    // gradient map across all pre-training epochs, so the steady-state
+    // trainer across all pre-training epochs, so the steady-state
     // autoencoder step's backward + optimizer path allocates nothing.
     let arena = Arena::new();
-    let mut grads = Grads::default();
     for _ in 0..epochs {
         order.shuffle(&mut shuffle_rng);
         for chunk in order.chunks(batch) {
@@ -68,9 +69,8 @@ fn autoencode(
             let diff = ctx.g.sub(recon, xv);
             let sq = ctx.g.sqr(diff);
             let loss = ctx.g.mean(sq);
-            ctx.grads_into(loss, &arena, &mut grads);
-            drop(ctx);
-            opt.step(&mut store, &grads);
+            trainer.backward(ctx, loss, &arena);
+            trainer.update(&mut store);
         }
     }
 

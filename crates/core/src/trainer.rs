@@ -9,7 +9,7 @@
 use std::io;
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Graph, Grads, Var};
+use gnmr_autograd::{pairwise_hinge, Adam, Ctx, Graph, Trainer, Var};
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph, TrainBatch};
 use gnmr_tensor::rng::StateRng;
 use gnmr_tensor::wire;
@@ -37,7 +37,7 @@ impl TrainReport {
 /// The training loss head (paper Eq. 7): gathers the batch's user,
 /// positive-item and negative-item rows of the concatenated multi-order
 /// representations, scores both pairs by `row_dot`, and returns the
-/// mean pairwise hinge `max(0, 1 - pos + neg)` as a 1x1 tape node.
+/// mean pairwise hinge ([`pairwise_hinge`]) as a 1x1 tape node.
 /// [`Gnmr::fit`] and the train-step bench both build their step's loss
 /// through this one function, so they record the same tape.
 pub fn hinge_loss(g: &mut Graph, user_orders: &[Var], item_orders: &[Var], batch: TrainBatch) -> Var {
@@ -48,10 +48,7 @@ pub fn hinge_loss(g: &mut Graph, user_orders: &[Var], item_orders: &[Var], batch
     let n = g.gather_rows(item_all, Arc::new(batch.neg_items));
     let pos_scores = g.row_dot(u, p);
     let neg_scores = g.row_dot(u, n);
-    let diff = g.sub(neg_scores, pos_scores);
-    let margin = g.add_scalar(diff, 1.0);
-    let hinge = g.relu(margin);
-    g.mean(hinge)
+    pairwise_hinge(g, pos_scores, neg_scores)
 }
 
 impl Gnmr {
@@ -81,8 +78,8 @@ impl Gnmr {
 
     /// [`Gnmr::fit`] with crash safety: atomically writes a
     /// [`TrainCheckpoint`] to `ck.path` every `ck.every` completed
-    /// epochs, and (when `ck.resume` is set and the file exists)
-    /// resumes from it instead of starting over. A resumed run is
+    /// epochs, and when the file already exists resumes from it
+    /// instead of starting over. A resumed run is
     /// **bitwise identical** to the uninterrupted run — parameters,
     /// representations, recommendations, eval output — because the
     /// checkpoint freezes every evolving input (params, Adam moments
@@ -123,7 +120,6 @@ impl Gnmr {
         assert_eq!(graph.n_items(), self.n_items(), "fit: item count mismatch");
 
         let sampler = BatchSampler::new(graph);
-        let mut opt = Adam::new(tcfg.lr).with_weight_decay(tcfg.weight_decay);
         // The checkpointable SplitMix64 — stream-identical to the old
         // `rng::substream` SmallRng, so training bytes are unchanged.
         let mut sample_rng = StateRng::substream(tcfg.seed, 0x7212);
@@ -133,27 +129,25 @@ impl Gnmr {
             .div_ceil(tcfg.batch_users.max(1))
             .max(1);
 
-        // One gradient map and one buffer arena (held on the model)
-        // serve every step of every epoch: after the first step warms
-        // the arena, the backward + optimizer path of the steady state
-        // performs zero heap allocations (the `train_step` bench's
-        // allocation gate pins this). Bytes are identical to the old
-        // allocate-per-op path, so training results are unchanged.
+        // One trainer (so one gradient map) and one buffer arena (held
+        // on the model) serve every step of every epoch: after the first
+        // step warms the arena, the backward + optimizer path of the
+        // steady state performs zero heap allocations (the `train_step`
+        // bench's allocation gate pins this). Bytes are identical to the
+        // old allocate-per-op path, so training results are unchanged.
         // (Warm arena state is also why resume needs no arena bytes:
         // warm-vs-fresh is pinned bitwise-neutral.)
-        let mut grads = Grads::default();
+        let mut trainer = Trainer::new(Adam::new(tcfg.lr).with_weight_decay(tcfg.weight_decay), tcfg.grad_clip);
         let mut report = TrainReport::default();
         let mut start_epoch = 0usize;
         if let Some(ck) = ck.as_deref_mut() {
-            if ck.resume && ck.path.exists() {
+            if ck.path.exists() {
                 let c = TrainCheckpoint::load_with(&ck.path, &mut ck.plan)?;
-                self.restore_checkpoint(&c, tcfg, &mut opt, &mut sample_rng, &mut report)?;
+                self.restore_checkpoint(&c, tcfg, &mut trainer.opt, &mut sample_rng, &mut report)?;
                 start_epoch = c.epochs_done as usize;
             }
         }
         for epoch in start_epoch..tcfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut counted = 0usize;
             for _ in 0..steps_per_epoch {
                 let batch = sampler.sample(tcfg.batch_users, tcfg.samples_per_user, &mut sample_rng);
                 if batch.is_empty() {
@@ -162,32 +156,24 @@ impl Gnmr {
                 let mut ctx = Ctx::new(&self.store);
                 let (user_orders, item_orders) = self.forward(&mut ctx);
                 let loss = hinge_loss(&mut ctx.g, &user_orders, &item_orders, batch);
-
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                ctx.grads_into(loss, &self.arena, &mut grads);
-                drop(ctx);
-                if tcfg.grad_clip > 0.0 {
-                    grads.clip_global_norm(tcfg.grad_clip);
-                }
-                opt.step(&mut self.store, &grads);
+                trainer.backward(ctx, loss, &self.arena);
+                trainer.update(&mut self.store);
                 report.steps += 1;
             }
-            opt.decay_lr();
-            report.epoch_losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+            report.epoch_losses.push(trainer.end_epoch());
             if let Some(ck) = ck.as_deref_mut() {
                 // Epoch boundaries are the only coherent cut points:
                 // the RNG sits between epochs, the lr decay has been
                 // applied, and the loss history is whole.
                 if (epoch + 1) % ck.every == 0 {
-                    let c = TrainCheckpoint::capture(&self.store, &opt, &sample_rng, epoch + 1, &report);
+                    let c = TrainCheckpoint::capture(&self.store, &trainer.opt, &sample_rng, epoch + 1, &report);
                     c.save_with(&ck.path, &mut ck.plan)?;
                 }
             }
         }
         // Hand the last step's gradient buffers back so a future fit on
         // this model starts with a fully warm arena.
-        grads.recycle(&self.arena);
+        trainer.recycle(&self.arena);
 
         debug_assert!(self.store.all_finite(), "parameters diverged");
         self.refresh_representations();
