@@ -5,6 +5,27 @@
 //! binding ([`Ctx`]), the [`Adam`] optimizer, the one training step
 //! every model runs ([`Trainer`]; its docs carry a worked example),
 //! finite-difference gradient checking, and small NN building blocks.
+//!
+//! # Example
+//!
+//! One forward pass over a bound parameter and its gradient; a training
+//! loop hands the same tape to [`Trainer::backward`] instead.
+//!
+//! ```
+//! use gnmr_autograd::{Ctx, ParamStore};
+//! use gnmr_tensor::Matrix;
+//!
+//! let mut store = ParamStore::new();
+//! store.insert("w", Matrix::from_vec(1, 2, vec![3.0, -2.0]));
+//! let mut ctx = Ctx::new(&store);
+//! let w = ctx.param("w");
+//! let sq = ctx.g.sqr(w);
+//! let loss = ctx.g.sum(sq);
+//! assert_eq!(ctx.g.value(loss).scalar_value(), 13.0);
+//! let grads = ctx.grads(loss);
+//! // d/dw sum(w^2) = 2w
+//! assert_eq!(grads.get("w").unwrap(), &Matrix::from_vec(1, 2, vec![6.0, -4.0]));
+//! ```
 
 pub mod gradcheck;
 pub mod nn;
