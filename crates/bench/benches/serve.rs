@@ -1,21 +1,28 @@
 //! Serving-path benchmarks: batched top-k throughput (users/sec) at
-//! catalog sizes 10^5–10^7, plus the **exact allocation count** of a
-//! steady-state batch request.
+//! catalog sizes 10^5–10^7, a same-run per-user baseline beside each
+//! cell, plus the **exact allocation count** of a steady-state batch
+//! request.
 //!
 //! It builds a synthetic frozen [`ServeIndex`] (seeded uniform
 //! representations — serving cost depends only on shapes, not on how
 //! the embeddings were trained) and drives the batched scoring path
-//! `recommend_batch_into_with`: each worker sweeps whole catalogs into
-//! its thread-local scratch and writes finished top-k rows into the
-//! caller's output slice. Batch sizes shrink as catalogs grow so a
-//! measurement iteration stays near constant work.
+//! `recommend_batch_into_with`: each worker walks the catalog in packed
+//! item tiles, scores all of its users against each tile, and feeds
+//! each user's streaming top-k heap in the caller's output slice
+//! (`kernels::top_k_dots`). The `serve_batch_per_user` cells time the
+//! composition that path replaced, on the same pool partition and in
+//! the same run: each worker scores one user at a time into a
+//! thread-local catalog buffer (`row_dots_into`) and selects from it
+//! (`top_k_select_excluding`), streaming the item matrix once per user.
+//! Batch sizes shrink as catalogs grow so a measurement iteration stays
+//! near constant work.
 //!
 //! The `serve_alloc` row is the inference-side arena discipline made
 //! checkable: after one warmup request (which mints the per-thread
-//! score buffer and selection heap), a batch request must perform
+//! tile and selection scratch), a batch request must perform
 //! **zero** heap allocations. Counts come from the counting global
 //! allocator and are exact integers, so the CI `--regression-gate`
-//! compares them directly — no timing noise on a shared 1-CPU runner.
+//! compares them directly — no timing noise on a shared runner.
 //!
 //! Run with `cargo bench -p gnmr-bench --bench serve`. `-- --quick-smoke`
 //! short-runs the smallest catalog and leaves the archive untouched;
@@ -23,10 +30,11 @@
 //! against the committed `serve_alloc` row in `results/bench_serve.json`
 //! (see `gnmr_bench::harness`).
 
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use gnmr::prelude::*;
-use gnmr::tensor::kernels::Threads;
+use gnmr::tensor::kernels::{self, Threads, TopKScratch};
 use gnmr::tensor::{init, par, rng};
 use gnmr_bench::alloc;
 use gnmr_bench::harness::{self, Mode, Row};
@@ -46,9 +54,9 @@ const K: usize = 10;
 /// exclusion walk at a realistic interaction-history size.
 const EXCLUDES_PER_USER: usize = 32;
 
-/// Thread counts measured per catalog (the container has 1 CPU; the
-/// 2-thread cell measures dispatch + partitioning overhead, as in the
-/// kernels family).
+/// Thread counts measured per catalog. On a 1-CPU machine the 2-thread
+/// cell measures dispatch + partitioning overhead, as in the kernels
+/// family; read it beside the archive's `machine` row.
 const THREAD_COUNTS: [usize; 2] = [1, 2];
 
 /// `(catalog, batch)` cells: batch sizes shrink with catalog so one
@@ -87,10 +95,47 @@ fn request(w: &mut Workload, threads: usize) {
     w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, Threads::Exact(threads));
 }
 
+thread_local! {
+    /// Per-worker catalog score buffer and selection scratch of the
+    /// per-user baseline.
+    static PER_USER_SCRATCH: RefCell<(Vec<f32>, TopKScratch)> =
+        const { RefCell::new((Vec::new(), TopKScratch::new())) };
+}
+
+/// One batch request through the per-user composition at `threads`:
+/// the user batch partitioned across the pool as in [`request`], each
+/// user scored against the whole catalog, then selected. Rows are
+/// always full here (`K` is far below any catalog), so no padding.
+fn request_per_user(w: &mut Workload, threads: usize) {
+    let (user_repr, item_repr) = (w.index.user_repr(), w.index.item_repr());
+    let (users, excludes) = (&w.users, &w.excludes);
+    par::for_each_row_chunk(&mut w.out, users.len(), threads, |range, chunk| {
+        PER_USER_SCRATCH.with(|cell| {
+            let (scores, topk) = &mut *cell.borrow_mut();
+            scores.resize(item_repr.rows(), 0.0);
+            for (row, &user) in chunk.chunks_mut(K).zip(&users[range]) {
+                kernels::row_dots_into(scores, item_repr, user_repr.row(user as usize));
+                let sel = kernels::top_k_select_excluding(scores, K, excludes.row(user as usize), topk);
+                row.copy_from_slice(sel);
+            }
+        });
+    });
+}
+
+/// Both compositions must serve the same bytes, or the baseline would
+/// time a different answer.
+fn assert_same_rows(w: &mut Workload) {
+    request(w, 1);
+    let tiled = w.out.clone();
+    request_per_user(w, 1);
+    let same = tiled.iter().zip(&w.out).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
+    assert!(same, "per-user baseline and tiled batch disagree");
+}
+
 /// Allocation count of one batch request after per-thread scratch
 /// warmup, at 1 thread (the profile the committed baseline records).
-/// Must be 0: the catalog score buffer and the selection heap are both
-/// minted by the warmup call and reused forever after.
+/// Must be 0: the tile pack buffer, tile scores and per-user stream
+/// states are minted by the warmup call and reused forever after.
 fn steady_batch_allocs(w: &mut Workload) -> u64 {
     request(w, 1);
     let before = alloc::allocations();
@@ -139,15 +184,24 @@ fn main() {
             let allocs = steady_batch_allocs(&mut w);
             alloc_row = shape("serve_alloc").num("threads", 1).num("allocs_per_batch", allocs);
         }
-        let ns = harness::time_interleaved(mode, THREAD_COUNTS.len(), |i| {
-            request(&mut w, THREAD_COUNTS[i]);
+        assert_same_rows(&mut w);
+        // Cells 2t and 2t + 1: tiled batch and per-user baseline at
+        // THREAD_COUNTS[t], interleaved so both see the same machine.
+        let ns = harness::time_interleaved(mode, 2 * THREAD_COUNTS.len(), |i| {
+            let threads = THREAD_COUNTS[i / 2];
+            if i % 2 == 0 {
+                request(&mut w, threads);
+            } else {
+                request_per_user(&mut w, threads);
+            }
             black_box(&w.out);
         });
-        for (&t, ns) in THREAD_COUNTS.iter().zip(ns) {
+        for (i, ns) in ns.into_iter().enumerate() {
+            let op = if i % 2 == 0 { "serve_batch" } else { "serve_batch_per_user" };
             let ns_per_user = ns / batch as u128;
             rows.push(
-                shape("serve_batch")
-                    .num("threads", t)
+                shape(op)
+                    .num("threads", THREAD_COUNTS[i / 2])
                     .num("ns_per_user", ns_per_user)
                     .num("users_per_sec", 1_000_000_000 / ns_per_user.max(1)),
             );

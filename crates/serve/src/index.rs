@@ -4,33 +4,32 @@
 //! [`ServeIndex`] holds the fused user/item representation matrices and
 //! answers top-k queries through the same canonical kernels the trainer
 //! scores with ([`kernels::dot`], [`kernels::row_dots`],
-//! [`kernels::top_k_select_excluding`]), so a served list is
-//! byte-identical to what `Gnmr::recommend` would produce from the same
-//! snapshot. Two shapes of query:
+//! [`kernels::top_k_select_excluding`], [`kernels::top_k_dots`]), so a
+//! served list is byte-identical to what `Gnmr::recommend` would
+//! produce from the same snapshot. Two shapes of query:
 //!
 //! * **latency** — [`ServeIndex::recommend`] parallelizes one user's
 //!   catalog sweep across the worker pool;
 //! * **throughput** — [`ServeIndex::recommend_batch_into`] partitions a
-//!   *batch of users* across the pool instead: each worker scores whole
-//!   users into its own thread-local catalog buffer and writes finished
-//!   top-k rows straight into the caller's output slice. After each
-//!   worker has warmed its scratch (first request at a given catalog
-//!   size), the steady state performs **zero heap allocations per
-//!   request** — the arena discipline, applied to inference, enforced by
-//!   the counting-allocator row in the `serve` bench gate.
-
-use std::cell::RefCell;
+//!   *batch of users* across the pool instead: each worker walks the
+//!   catalog in packed item tiles, scores all of its users against each
+//!   tile and feeds each user's streaming top-k heap, which lives in the
+//!   caller's output row. After each worker has warmed its scratch
+//!   (first request at a given chunk size), the steady state performs
+//!   **zero heap allocations per request** — the arena discipline,
+//!   applied to inference, enforced by the counting-allocator row in the
+//!   `serve` bench gate.
 
 use gnmr_tensor::kernels::{self, Threads};
-use gnmr_tensor::{par, Matrix};
+use gnmr_tensor::Matrix;
 
 use crate::error::ModelNotReady;
 use crate::snapshot::ModelSnapshot;
 
 /// Per-user exclusion lists (already-seen items) in CSR layout: row `u`
 /// is `items[indptr[u]..indptr[u + 1]]`, sorted ascending — the shape
-/// the merge-walk in [`kernels::top_k_select_excluding`] consumes with
-/// zero per-request work.
+/// the gap walk of the selection kernels consumes with zero
+/// per-request work.
 pub struct ExcludeLists {
     indptr: Vec<usize>,
     items: Vec<u32>,
@@ -65,55 +64,6 @@ impl ExcludeLists {
     /// Number of users covered.
     pub fn n_users(&self) -> usize {
         self.indptr.len() - 1
-    }
-}
-
-/// Per-thread serving scratch: a catalog-sized score buffer plus the
-/// selection heap. Minted once per worker thread (same precedent as the
-/// kernel layer's pack buffer) and reused across every request that
-/// thread ever serves.
-struct ServeScratch {
-    scores: Vec<f32>,
-    topk: kernels::TopKScratch,
-}
-
-thread_local! {
-    static SERVE_SCRATCH: RefCell<ServeScratch> =
-        const { RefCell::new(ServeScratch { scores: Vec::new(), topk: kernels::TopKScratch::new() }) };
-}
-
-/// Runs `f` with this thread's serving scratch, growing the score
-/// buffer to `catalog` entries on first use at that size (the mint; the
-/// steady state never reallocates).
-fn with_serve_scratch<R>(catalog: usize, f: impl FnOnce(&mut ServeScratch) -> R) -> R {
-    SERVE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        if scratch.scores.len() < catalog {
-            scratch.scores.resize(catalog, 0.0);
-        }
-        f(&mut scratch)
-    })
-}
-
-/// Scores one user against the full catalog into this worker's scratch
-/// and writes its top-`k` row into `out` (`out.len() == k`). Rows
-/// shorter than `k` (small catalog, heavy exclusion) are padded with
-/// the sentinel `(u32::MAX, f32::NEG_INFINITY)` — `u32::MAX` can never
-/// be a real item index because the catalog is bounded by it.
-fn recommend_user_into(
-    item_repr: &Matrix,
-    user_row: &[f32],
-    k: usize,
-    exclude: &[u32],
-    scratch: &mut ServeScratch,
-    out: &mut [(u32, f32)],
-) {
-    let scores = &mut scratch.scores[..item_repr.rows()];
-    kernels::row_dots_into(scores, item_repr, user_row);
-    let sel = kernels::top_k_select_excluding(scores, k, exclude, &mut scratch.topk);
-    out[..sel.len()].copy_from_slice(sel);
-    for slot in out[sel.len()..].iter_mut() {
-        *slot = (u32::MAX, f32::NEG_INFINITY);
     }
 }
 
@@ -172,6 +122,16 @@ impl ServeIndex {
         self.user_repr.cols()
     }
 
+    /// The user representation matrix, one row per user.
+    pub fn user_repr(&self) -> &Matrix {
+        &self.user_repr
+    }
+
+    /// The item representation matrix, one row per catalog item.
+    pub fn item_repr(&self) -> &Matrix {
+        &self.item_repr
+    }
+
     /// Single-pair score via the canonical fixed-lane dot — bitwise
     /// equal to the training-side `Gnmr::score_pair` on the same
     /// representations.
@@ -194,9 +154,10 @@ impl ServeIndex {
     /// `users` and writes each user's top-`k` row into
     /// `out[i * k..(i + 1) * k]`, padding short rows with
     /// `(u32::MAX, f32::NEG_INFINITY)`. The *user batch* is partitioned
-    /// across the worker pool — each worker sweeps whole catalogs into
-    /// its thread-local scratch — so after per-thread warmup the steady
-    /// state allocates nothing.
+    /// across the worker pool and each worker walks the catalog in
+    /// packed item tiles ([`kernels::top_k_dots`]), so after per-thread
+    /// warmup the steady state allocates nothing. Panics (on the calling
+    /// thread, before any work) on a user id `>= n_users`.
     pub fn recommend_batch_into_with(
         &self,
         users: &[u32],
@@ -220,25 +181,11 @@ impl ServeIndex {
             excludes.n_users(),
             self.n_users()
         );
-        if users.is_empty() || k == 0 {
-            return;
+        if let Some(&user) = users.iter().find(|&&u| u as usize >= self.n_users()) {
+            panic!("recommend_batch_into: user id {user} out of range (n_users = {})", self.n_users());
         }
-        let catalog = self.item_repr.rows();
-        let threads = threads.resolve(users.len() * self.item_repr.len());
-        par::for_each_row_chunk(out, users.len(), threads, |range, chunk| {
-            with_serve_scratch(catalog, |scratch| {
-                for (row, &user) in chunk.chunks_mut(k).zip(&users[range]) {
-                    recommend_user_into(
-                        &self.item_repr,
-                        self.user_repr.row(user as usize),
-                        k,
-                        excludes.row(user as usize),
-                        scratch,
-                        row,
-                    );
-                }
-            });
-        });
+        let exclude = |user: u32| excludes.row(user as usize);
+        kernels::top_k_dots(out, &self.item_repr, &self.user_repr, users, k, exclude, threads);
     }
 
     /// [`ServeIndex::recommend_batch_into_with`] under

@@ -137,6 +137,70 @@ fn score_uses_the_canonical_lane_dot() {
     }
 }
 
+/// Asserts every user's flat batch row equals the latency path's list
+/// bit for bit, sentinel padding included.
+fn assert_rows_match(index: &ServeIndex, users: &[u32], k: usize, excludes: &ExcludeLists, out: &[(u32, f32)], what: &str) {
+    for (i, &u) in users.iter().enumerate() {
+        let want = index.recommend(u, k, excludes.row(u as usize));
+        let row = &out[i * k..(i + 1) * k];
+        let pad = (u32::MAX, f32::NEG_INFINITY);
+        for (j, got) in row.iter().enumerate() {
+            let expect = want.get(j).copied().unwrap_or(pad);
+            assert_eq!(got.0, expect.0, "{what}, user {u}, slot {j}: item");
+            assert_eq!(got.1.to_bits(), expect.1.to_bits(), "{what}, user {u}, slot {j}: score bytes");
+        }
+    }
+}
+
+#[test]
+fn batch_matches_single_user_path_across_item_tiles() {
+    // The batched path scores the catalog in tiles of 1024 items packed
+    // four to a panel, with the last `n mod 4` rows scored one by one.
+    // Two full tiles plus a ragged tail of 3 crosses every boundary.
+    let _caps = ThreadOverride::lift_caps();
+    let tile = 1024;
+    let n_items = 2 * tile + 3;
+    let n_users = 6;
+    // Exclusions on tile and panel edges, the ragged tail, duplicates,
+    // and one user with none.
+    let edges = vec![0, 3, 4, tile - 1, tile - 1, tile, 2 * tile - 1, 2 * tile, 2 * tile + 2, 2 * tile + 2];
+    let rows: Vec<Vec<u32>> = (0..n_users)
+        .map(|u| if u == 5 { Vec::new() } else { edges.iter().map(|&e| ((e + u / 2) % n_items) as u32).collect() })
+        .collect();
+    let excludes = ExcludeLists::from_rows(&rows);
+    let users: Vec<u32> = vec![0, 1, 2, 3, 4, 5, 3, 0];
+    for dim in [1, 7, 8, 48, 50] {
+        let mut r = rng::seeded(0x7117 + dim as u64);
+        let u = init::uniform(n_users, dim, -1.0, 1.0, &mut r);
+        let mut v = init::uniform(n_items, dim, -1.0, 1.0, &mut r);
+        // Non-finite rows: one NaN row (ranked first), one +inf and one
+        // -inf item, and a row holding both infinities (a NaN score),
+        // placed inside a panel, on a tile edge and in the tail.
+        v.row_mut(17).fill(f32::NAN);
+        v.row_mut(tile)[0] = f32::INFINITY;
+        v.row_mut(tile + 5)[dim - 1] = f32::NEG_INFINITY;
+        v.row_mut(2 * tile + 1)[0] = f32::INFINITY;
+        v.row_mut(2 * tile + 1)[dim - 1] = f32::NEG_INFINITY;
+        let index = ServeIndex::new(u, v);
+        for k in [0, 1, 10, n_items + 5] {
+            for threads in [1, 2, 4] {
+                let mut out = vec![(0u32, f32::NAN); users.len() * k];
+                index.recommend_batch_into_with(&users, k, &excludes, &mut out, Exact(threads));
+                assert_rows_match(&index, &users, k, &excludes, &out, &format!("dim {dim}, k {k}, threads {threads}"));
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "user id 9 out of range (n_users = 4)")]
+fn batch_rejects_unknown_user_before_dispatch() {
+    let _caps = ThreadOverride::lift_caps();
+    let index = synthetic_index(4, 3000, 8);
+    let mut out = vec![(0u32, 0.0f32); 3 * 5];
+    index.recommend_batch_into_with(&[0, 9, 1], 5, &ExcludeLists::empty(4), &mut out, Exact(2));
+}
+
 #[test]
 #[should_panic(expected = "representation width mismatch")]
 fn width_mismatch_panics() {
@@ -146,7 +210,7 @@ fn width_mismatch_panics() {
 proptest! {
     #[test]
     fn batch_equals_per_user_on_random_shapes(
-        (n_users, n_items, dim, k) in (1usize..12, 1usize..80, 1usize..20, 0usize..14)
+        (n_users, n_items, dim, k) in (1usize..12, 1usize..80, 1usize..52, 0usize..14)
     ) {
         let index = synthetic_index(n_users, n_items, dim);
         let excludes = exclusions(n_users, n_items, 4);

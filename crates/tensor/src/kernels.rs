@@ -46,8 +46,9 @@
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
-//! kernels (`matmul_nt`, `row_dot*`, `row_dots`, the softmax-backward
-//! row totals) accumulate into a fixed block of `LANES` partial sums —
+//! kernels (`matmul_nt`, `row_dot*`, `row_dots`, `top_k_dots`, the
+//! softmax-backward row totals) accumulate into a fixed block of
+//! `LANES` partial sums —
 //! lane `l` owns the terms whose index is congruent to `l` modulo
 //! `LANES` — and collapse it with a fixed pairwise tree. Streaming
 //! kernels (`matmul`, `matmul_tn`, `spmm`, the elementwise family, the
@@ -1310,18 +1311,19 @@ pub fn row_dots(dst: &mut [f32], mat: &Matrix, vec: &[f32], threads: Threads) {
 
 /// Canonical fixed-lane dot product of two equal-length slices — the
 /// single-pair scoring primitive. Exposed so every scoring surface
-/// (`Gnmr::score_pair`, the full-catalog [`row_dots`], the serve-crate
-/// batch path) reduces in the exact same lane order and therefore
+/// (`Gnmr::score_pair`, the full-catalog [`row_dots`], the batched
+/// [`top_k_dots`]) reduces in the exact same lane order and therefore
 /// agrees bitwise on every (user, item) pair.
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch {} vs {}", x.len(), y.len());
     dot_lanes(x, y)
 }
 
-/// Serial [`row_dots`]. The batched serving path calls this once per
-/// user *inside* pool workers (each worker scores into its own
-/// thread-local catalog buffer), so it is deliberately serial — nested
-/// dispatch would run inline anyway — and allocation-free.
+/// Serial [`row_dots`]: one query against the whole catalog on the
+/// calling thread, allocation-free, for callers that already run inside
+/// pool workers or time one user at a time. Many queries at once go
+/// through [`top_k_dots`], which streams the catalog once per chunk
+/// instead of once per query.
 pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
     row_dots(dst, mat, vec, Threads::Exact(1));
 }
@@ -1330,23 +1332,33 @@ pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
 //
 // The serving path's ranking primitive: the `k` best-scoring indices in
 // the deterministic total order (score descending, index ascending on
-// ties), WITHOUT sorting the full catalog. Two algorithms behind one
-// entry point, both producing exactly the sequence a full
-// `(score desc, index asc)` sort would — the order is total (ties are
+// ties), WITHOUT sorting the full catalog. The order is total (ties are
 // broken by the unique index), so the top-k sequence is unique and
-// "same algorithm ⇒ same bytes" holds trivially across paths:
+// every algorithm below produces exactly the prefix a full
+// `(score desc, index asc)` sort would:
 //
-// * a bounded worst-at-root binary heap for small `k`: one comparison
-//   against the current cutoff per candidate (O(n) total, almost all
-//   failing fast) plus O(log k) maintenance per admitted candidate;
+// * one **streaming bounded heap** ([`TopKStream`]): a worst-at-root
+//   heap fed candidates in ascending index order, any number of slices
+//   at a time. It walks the gaps between exclusions (so the exclusion
+//   cursor costs nothing per candidate) and admits a candidate only if
+//   its [`sel_key`] beats the root's — one integer compare per
+//   candidate, almost all failing fast, plus O(log k) maintenance per
+//   admission. Because candidates arrive in ascending index, a score
+//   tie with the root never displaces it, so the strict compare is
+//   exactly the `(score desc, index asc)` order. It is the only heap
+//   path: [`top_k_select_excluding`] feeds it one whole score slice,
+//   and [`top_k_dots`] feeds it one item tile at a time, keeping each
+//   user's heap in its output row and its cursor in per-thread scratch;
 // * deterministic quickselect (median-of-three pivots, no entropy,
 //   introsort-style depth bound collapsing to `sort_unstable_by`) once
 //   `k` is a sizable fraction of the candidates, where per-candidate
-//   heap maintenance would thrash.
+//   heap maintenance would thrash. Only `top_k_select_excluding` takes
+//   it; the tiled op never holds the whole score slice.
 //
-// Scores are compared with `f32::total_cmp`, so NaNs are *ordered*
-// (positive NaN above +inf) instead of poisoning the comparison the way
-// the historical `partial_cmp().unwrap_or(Equal)` full sort did.
+// Scores are ordered as `f32::total_cmp` orders them, so NaNs are
+// *ordered* (positive NaN above +inf, negative NaN below -inf) instead
+// of poisoning the comparison the way the historical
+// `partial_cmp().unwrap_or(Equal)` full sort did.
 
 /// `k`-to-candidate ratio at which selection switches from the bounded
 /// heap to quickselect: heap while `k * QUICKSELECT_RATIO < n`. At that
@@ -1355,11 +1367,10 @@ pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
 /// partition passes.
 const QUICKSELECT_RATIO: usize = 8;
 
-/// Reusable scratch for the top-k selection kernels. Mint one per
-/// scoring thread (the serve crate keeps one in thread-local storage,
-/// like [`with_pack_buf`]) and steady-state selection performs zero
-/// heap allocations: the buffer grows to `max(k, candidates)` entries
-/// once and is reused thereafter.
+/// Reusable scratch for [`top_k_select_excluding`]. Mint one per
+/// scoring thread and steady-state selection performs zero heap
+/// allocations: the buffer grows to `max(k, candidates)` entries once
+/// and is reused thereafter.
 pub struct TopKScratch {
     buf: Vec<(u32, f32)>,
 }
@@ -1376,6 +1387,16 @@ impl Default for TopKScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The integer key `f32::total_cmp` orders by: the bit pattern with the
+/// magnitude bits flipped for negative values, compared as `i32`. So
+/// `sel_key(a) > sel_key(b)` exactly when `a.total_cmp(&b)` is
+/// `Greater`.
+#[inline(always)]
+fn sel_key(s: f32) -> i32 {
+    let bits = s.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
 }
 
 /// Whether candidate `a` ranks strictly before `b` in the deterministic
@@ -1422,6 +1443,87 @@ fn sift_down_worst(heap: &mut [(u32, f32)], mut i: usize) {
 fn build_worst_heap(heap: &mut [(u32, f32)]) {
     for i in (0..heap.len() / 2).rev() {
         sift_down_worst(heap, i);
+    }
+}
+
+/// Calls `f` on each maximal run of `range` that the ascending
+/// `exclude` list (duplicates allowed) does not hit, in ascending
+/// order. `cursor` indexes `exclude` and persists across calls over
+/// consecutive ranges, so a full catalog walk costs O(n + e) with no
+/// per-candidate exclusion test.
+#[inline]
+fn for_each_gap(exclude: &[u32], cursor: &mut usize, range: Range<usize>, mut f: impl FnMut(Range<usize>)) {
+    let mut i = range.start;
+    while i < range.end {
+        while *cursor < exclude.len() && (exclude[*cursor] as usize) < i {
+            *cursor += 1;
+        }
+        let stop = match exclude.get(*cursor) {
+            Some(&e) if (e as usize) < range.end => e as usize,
+            _ => range.end,
+        };
+        if i < stop {
+            f(i..stop);
+        }
+        i = stop + 1;
+    }
+}
+
+/// One query's streaming bounded top-k: how many heap slots are filled
+/// and where its exclusion cursor stands. The heap itself is a
+/// caller-provided `k`-slot slice, so the state is two words and many
+/// queries can stream side by side.
+#[derive(Clone, Copy, Default)]
+struct TopKStream {
+    fill: usize,
+    cursor: usize,
+}
+
+impl TopKStream {
+    /// Offers candidates `base..base + scores.len()` (whose scores these
+    /// are) to the `heap.len()`-bounded heap (`k >= 1`), skipping
+    /// `exclude`. Successive calls must cover ascending, non-overlapping
+    /// ranges.
+    #[inline]
+    fn feed(&mut self, heap: &mut [(u32, f32)], exclude: &[u32], base: usize, scores: &[f32]) {
+        let mut cursor = self.cursor;
+        for_each_gap(exclude, &mut cursor, base..base + scores.len(), |gap| {
+            self.admit(heap, gap.start, &scores[gap.start - base..gap.end - base]);
+        });
+        self.cursor = cursor;
+    }
+
+    /// Admits the run of candidates `first..first + run.len()`: the
+    /// first `k` unconditionally (then heapified), the rest only if they
+    /// beat the root's key.
+    #[inline]
+    fn admit(&mut self, heap: &mut [(u32, f32)], first: usize, run: &[f32]) {
+        let k = heap.len();
+        let mut i = 0;
+        while self.fill < k {
+            let Some(&s) = run.get(i) else { return };
+            heap[self.fill] = ((first + i) as u32, s);
+            self.fill += 1;
+            i += 1;
+            if self.fill == k {
+                build_worst_heap(heap);
+            }
+        }
+        let mut cutoff = sel_key(heap[0].1);
+        for (j, &s) in run.iter().enumerate().skip(i) {
+            if sel_key(s) > cutoff {
+                heap[0] = ((first + j) as u32, s);
+                sift_down_worst(heap, 0);
+                cutoff = sel_key(heap[0].1);
+            }
+        }
+    }
+
+    /// Sorts the kept candidates into serving order and returns how many
+    /// there are (`< heap.len()` when fewer were offered).
+    fn finish(&self, heap: &mut [(u32, f32)]) -> usize {
+        heap[..self.fill].sort_unstable_by(sel_cmp);
+        self.fill
     }
 }
 
@@ -1490,57 +1592,34 @@ fn quickselect_topk(v: &mut [(u32, f32)], k: usize) {
 
 /// Core selection: fills `buf` with the top-`k` non-excluded candidates
 /// in the deterministic `(score desc, index asc)` order. `exclude` must
-/// be ascending (duplicates allowed); candidates are streamed in index
-/// order against a single merge-walk cursor, so exclusion costs
-/// O(n + e) regardless of list sizes.
+/// be ascending (duplicates allowed).
 fn select_into_buf(scores: &[f32], k: usize, exclude: &[u32], buf: &mut Vec<(u32, f32)>) {
     buf.clear();
     if k == 0 || scores.is_empty() {
         return;
     }
     let n = scores.len();
-    let mut p = 0usize;
     if k.saturating_mul(QUICKSELECT_RATIO) < n {
-        // Bounded heap: admit the first k candidates, then only those
-        // ranking before the current worst (the root).
-        for (i, &s) in scores.iter().enumerate() {
-            let idx = i as u32;
-            while p < exclude.len() && exclude[p] < idx {
-                p += 1;
-            }
-            if p < exclude.len() && exclude[p] == idx {
-                continue;
-            }
-            let cand = (idx, s);
-            if buf.len() < k {
-                buf.push(cand);
-                if buf.len() == k {
-                    build_worst_heap(buf);
-                }
-            } else if sel_before(cand, buf[0]) {
-                buf[0] = cand;
-                sift_down_worst(buf, 0);
-            }
-        }
-    } else {
-        // k is a sizable fraction of the candidates: gather them all
-        // and partial-select in place.
-        for (i, &s) in scores.iter().enumerate() {
-            let idx = i as u32;
-            while p < exclude.len() && exclude[p] < idx {
-                p += 1;
-            }
-            if p < exclude.len() && exclude[p] == idx {
-                continue;
-            }
-            buf.push((idx, s));
-        }
-        if buf.len() > k {
-            quickselect_topk(buf, k);
-            buf.truncate(k);
-        }
+        buf.resize(k, (0, 0.0));
+        let mut stream = TopKStream::default();
+        stream.feed(buf, exclude, 0, scores);
+        let kept = stream.finish(buf);
+        buf.truncate(kept);
+        return;
+    }
+    // k is a sizable fraction of the candidates: gather them all and
+    // partial-select in place.
+    for_each_gap(exclude, &mut 0, 0..n, |gap| buf.extend(gap.map(|i| (i as u32, scores[i]))));
+    if buf.len() > k {
+        quickselect_topk(buf, k);
+        buf.truncate(k);
     }
     buf.sort_unstable_by(sel_cmp);
+}
+
+/// Asserts an exclusion list is ascending — the merge-walk's contract.
+fn assert_ascending(exclude: &[u32], op: &str) {
+    assert!(exclude.windows(2).all(|w| w[0] <= w[1]), "{op}: exclusion list must be sorted ascending");
 }
 
 /// Top-`k` indices and scores of `scores`, skipping the ascending
@@ -1562,12 +1641,187 @@ pub fn top_k_select_excluding<'s>(
         "top_k_select_excluding: catalog of {} rows exceeds u32 index space",
         scores.len()
     );
-    assert!(
-        exclude.windows(2).all(|w| w[0] <= w[1]),
-        "top_k_select_excluding: exclusion list must be sorted ascending"
-    );
+    assert_ascending(exclude, "top_k_select_excluding");
     select_into_buf(scores, k, exclude, &mut scratch.buf);
     &scratch.buf
+}
+
+// ----- blocked top-k of dots ------------------------------------------
+//
+// Batched inner-product search: many queries (users) against one item
+// matrix, each keeping its top-k. Scoring one query at a time streams
+// the whole item matrix per query and runs `dot_lanes` across rows as
+// a gather loop. Here each chunk of queries instead walks the items in
+// tiles of `SCORE_TILE` rows, packs each tile once into `PANEL`-item
+// panels, and scores every query of the chunk against the packed tile
+// with a register-blocked microkernel; the tile's scores go straight
+// into each query's streaming heap. Same bytes as `row_dots` +
+// `top_k_select_excluding`: every score is bitwise `dot_lanes` (see
+// `dot_panel`) and the selected sequence is unique.
+
+/// Item rows per tile of [`top_k_dots`]: the packed tile is
+/// `SCORE_TILE * dim` floats (192 KiB at 48 wide), sized to stay in L2
+/// while every query of a chunk scores it. 512–2048 measured within 10%
+/// of each other at 10^5 × 48. A multiple of [`PANEL`], so only the
+/// last tile can have a ragged tail.
+const SCORE_TILE: usize = 1024;
+
+/// Items per packed panel of the scoring microkernel: `LANES` partial
+/// sums × `PANEL` items fill 8 SSE2 registers. An 8-item panel spills.
+const PANEL: usize = 4;
+
+std::thread_local! {
+    /// Per-thread scratch of [`top_k_dots`]: one tile of scores and one
+    /// [`TopKStream`] per query of the chunk. Grows to the largest
+    /// chunk a thread serves (the mint) and is reused by every later
+    /// call; the packed tile itself lives in [`PACK_BUF`].
+    static DOTS_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<TopKStream>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Runs `f` on this thread's tile-score buffer (`SCORE_TILE` floats)
+/// and `queries` zeroed stream states. Growth is a once-per-thread
+/// event; steady-state calls are allocation-free.
+fn with_dots_scratch<R>(queries: usize, f: impl FnOnce(&mut [f32], &mut [TopKStream]) -> R) -> R {
+    DOTS_SCRATCH.with(|cell| {
+        let mut cell = cell.borrow_mut();
+        let (scores, streams) = &mut *cell;
+        if scores.len() < SCORE_TILE {
+            scores.resize(SCORE_TILE, 0.0);
+        }
+        if streams.len() < queries {
+            streams.resize(queries, TopKStream::default());
+        }
+        let streams = &mut streams[..queries];
+        streams.fill(TopKStream::default());
+        f(scores, streams)
+    })
+}
+
+/// Packs `items` (whole `PANEL`-row groups of a row-major `d`-wide
+/// matrix) into panels: group `g` occupies `pack[g * PANEL * d..]` with
+/// `panel[c * PANEL + j] = item_j[c]`, so the microkernel reads one
+/// contiguous `PANEL`-vector per column. A pure layout change.
+fn pack_item_panels(pack: &mut [f32], items: &[f32], d: usize) {
+    for g in 0..items.len() / (PANEL * d).max(1) {
+        let panel = &mut pack[g * PANEL * d..(g + 1) * PANEL * d];
+        for j in 0..PANEL {
+            let item = &items[(g * PANEL + j) * d..(g * PANEL + j + 1) * d];
+            for (c, &v) in item.iter().enumerate() {
+                panel[c * PANEL + j] = v;
+            }
+        }
+    }
+}
+
+/// `PANEL` simultaneous [`dot_lanes`] of one packed panel against the
+/// query `x`: `acc[l][j]` takes column `c`'s term for item `j` at lane
+/// `l = c mod LANES`, in ascending `c`, with the same `item * query`
+/// operand order, and each item's lanes collapse through [`lane_sum`].
+/// So every result is bitwise `dot_lanes(item_j, x)`.
+#[inline(always)]
+fn dot_panel(x: &[f32], panel: &[f32]) -> [f32; PANEL] {
+    debug_assert_eq!(panel.len(), x.len() * PANEL);
+    let mut acc = [[0.0f32; PANEL]; LANES];
+    let mut xc = x.chunks_exact(LANES);
+    let mut pc = panel.chunks_exact(LANES * PANEL);
+    for (xb, pb) in (&mut xc).zip(&mut pc) {
+        for l in 0..LANES {
+            for j in 0..PANEL {
+                acc[l][j] += pb[l * PANEL + j] * xb[l];
+            }
+        }
+    }
+    let pr = pc.remainder();
+    for (l, &xv) in xc.remainder().iter().enumerate() {
+        for j in 0..PANEL {
+            acc[l][j] += pr[l * PANEL + j] * xv;
+        }
+    }
+    std::array::from_fn(|j| lane_sum(std::array::from_fn(|l| acc[l][j])))
+}
+
+/// One pool chunk of [`top_k_dots`]: `queries[rows[i]]`'s top-`k` row
+/// into `out[i * k..(i + 1) * k]`, walking the items tile by tile.
+#[allow(clippy::too_many_arguments)]
+fn top_k_dots_chunk<'e>(
+    out: &mut [(u32, f32)],
+    items: &Matrix,
+    queries: &Matrix,
+    rows: &[u32],
+    k: usize,
+    exclude: &impl Fn(u32) -> &'e [u32],
+    pack: &mut [f32],
+    scores: &mut [f32],
+    streams: &mut [TopKStream],
+) {
+    let (n, d) = (items.rows(), items.cols());
+    let id = items.data();
+    for t0 in (0..n).step_by(SCORE_TILE) {
+        let t1 = (t0 + SCORE_TILE).min(n);
+        let packed = (t1 - t0) / PANEL * PANEL;
+        pack_item_panels(pack, &id[t0 * d..(t0 + packed) * d], d);
+        let scores = &mut scores[..t1 - t0];
+        for ((heap, stream), &r) in out.chunks_exact_mut(k).zip(streams.iter_mut()).zip(rows) {
+            let x = queries.row(r as usize);
+            for (g, s4) in scores[..packed].chunks_exact_mut(PANEL).enumerate() {
+                s4.copy_from_slice(&dot_panel(x, &pack[g * PANEL * d..(g + 1) * PANEL * d]));
+            }
+            for (s, item) in scores[packed..].iter_mut().zip(t0 + packed..t1) {
+                *s = dot_lanes(items.row(item), x);
+            }
+            stream.feed(heap, exclude(r), t0, scores);
+        }
+    }
+    for (heap, stream) in out.chunks_exact_mut(k).zip(streams.iter()) {
+        let kept = stream.finish(heap);
+        heap[kept..].fill((u32::MAX, f32::NEG_INFINITY));
+    }
+}
+
+/// Batched top-`k` inner-product search: for each `rows[i]`, the top-`k`
+/// items of `<items.row(j), queries.row(rows[i])>` skipping the
+/// ascending list `exclude(rows[i])`, written to
+/// `dst[i * k..(i + 1) * k]` in the `(score desc, index asc)` order.
+/// Rows with fewer than `k` candidates are padded with the sentinel
+/// `(u32::MAX, f32::NEG_INFINITY)`; `u32::MAX` is never a real item.
+///
+/// Always assigns (every slot is written, `dst` is never read). Each
+/// row is bitwise what [`row_dots`] + [`top_k_select_excluding`] (plus
+/// the padding) would give. The batch is partitioned across the pool;
+/// each chunk walks the items in packed tiles (see the section comment),
+/// so the item matrix is streamed once per chunk, not once per query.
+/// Once a thread has served a chunk at least as many queries long and
+/// as wide, later calls perform no heap allocation.
+pub fn top_k_dots<'e>(
+    dst: &mut [(u32, f32)],
+    items: &Matrix,
+    queries: &Matrix,
+    rows: &[u32],
+    k: usize,
+    exclude: impl Fn(u32) -> &'e [u32] + Sync,
+    threads: Threads,
+) {
+    assert_eq!(items.cols(), queries.cols(), "top_k_dots: width mismatch ({} vs {})", items.cols(), queries.cols());
+    assert_eq!(dst.len(), rows.len() * k, "top_k_dots: dst length {} != {} rows x k {}", dst.len(), rows.len(), k);
+    assert!(items.rows() < u32::MAX as usize, "top_k_dots: {} items exceed the u32 index space", items.rows());
+    for &r in rows {
+        assert!((r as usize) < queries.rows(), "top_k_dots: query row {r} out of range ({} rows)", queries.rows());
+        assert_ascending(exclude(r), "top_k_dots");
+    }
+    if rows.is_empty() || k == 0 {
+        return;
+    }
+    let d = items.cols();
+    let tile = SCORE_TILE.min(items.rows()) * d;
+    let threads = threads.resolve(rows.len() * items.len());
+    par::for_each_row_chunk(dst, rows.len(), threads, |range, chunk| {
+        with_pack_buf(tile, |pack| {
+            with_dots_scratch(range.len(), |scores, streams| {
+                top_k_dots_chunk(chunk, items, queries, &rows[range], k, &exclude, pack, scores, streams);
+            });
+        });
+    });
 }
 
 #[cfg(test)]
@@ -1688,6 +1942,28 @@ mod tests {
         for (r, &g) in got.iter().enumerate() {
             let expect: f32 = m.row(r).iter().zip(&v).map(|(a, b)| a * b).sum();
             assert!((g - expect).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn sel_key_orders_like_total_cmp() {
+        let vals = [
+            f32::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            2.0,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffff_ffff),
+        ];
+        for a in vals {
+            for b in vals {
+                assert_eq!(sel_key(a).cmp(&sel_key(b)), a.total_cmp(&b), "{a:?} ({:#x}) vs {b:?}", a.to_bits());
+            }
         }
     }
 

@@ -947,6 +947,65 @@ proptest! {
     }
 }
 
+/// Rows of one scoring tile of `top_k_dots` (its private `SCORE_TILE`).
+const SCORE_TILE: usize = 1024;
+
+/// `(item, score bits)` pairs, so NaN entries compare by their bytes.
+fn pair_bits(v: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+}
+
+/// Inputs for the tiled top-k-of-dots op: a catalog whose size lands
+/// well inside one tile, around the first tile edge, or around the
+/// second; tie-heavy quantized values (so the index tie-break decides
+/// often), with an inexact query step so the lane order shows in the
+/// bytes; query rows; a batch of row ids (repeats allowed); and one
+/// ascending exclusion list per query row, duplicates and
+/// out-of-catalog ids included.
+fn top_k_dots_inputs() -> impl Strategy<Value = (Matrix, Matrix, Vec<u32>, Vec<Vec<u32>>)> {
+    ((0usize..3, 0usize..40), 1usize..20, 1usize..4).prop_flat_map(|((band, off), d, q)| {
+        let n = [off, SCORE_TILE - 20 + off, 2 * SCORE_TILE - 20 + off][band];
+        let levels = |len, step: f32| proptest::collection::vec((-3i8..4).prop_map(move |v| v as f32 * step), len);
+        let exclusion = proptest::collection::vec(0..n as u32 + 1, 0usize..12).prop_map(|mut e| {
+            e.sort_unstable();
+            e
+        });
+        (
+            levels(n * d, 0.5).prop_map(move |v| Matrix::from_vec(n, d, v)),
+            levels(q * d, 0.37).prop_map(move |v| Matrix::from_vec(q, d, v)),
+            proptest::collection::vec(0..q as u32, 0usize..6),
+            proptest::collection::vec(exclusion, q),
+        )
+    })
+}
+
+proptest! {
+    #[test]
+    fn top_k_dots_matches_lane_dots_and_full_sort((items, queries, rows, excl) in top_k_dots_inputs()) {
+        let _caps = ThreadOverride::lift_caps();
+        for k in [0, 1, 3, 10, items.rows() + 2] {
+            // Spec: every score is `lane_dot_ref`, the row is the
+            // full-sort prefix, padded with the sentinel.
+            let expected: Vec<(u32, f32)> = rows
+                .iter()
+                .flat_map(|&r| {
+                    let query = queries.row(r as usize);
+                    let scores: Vec<f32> = (0..items.rows()).map(|i| lane_dot_ref(items.row(i), query)).collect();
+                    let mut top = top_k_ref(&scores, k, &excl[r as usize]);
+                    top.resize(k, (u32::MAX, f32::NEG_INFINITY));
+                    top
+                })
+                .collect();
+            for t in THREADS {
+                // NaN-filled: the op must write every slot.
+                let mut got = vec![(7u32, f32::NAN); rows.len() * k];
+                kernels::top_k_dots(&mut got, &items, &queries, &rows, k, |r| &excl[r as usize], Exact(t));
+                prop_assert_eq!(pair_bits(&got), pair_bits(&expected), "k={}, threads={}", k, t);
+            }
+        }
+    }
+}
+
 #[test]
 fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // All-equal scores: the winner set is decided purely by the
@@ -967,6 +1026,41 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     let with_nan = [1.0, f32::NAN, f32::INFINITY, 2.0];
     let order: Vec<u32> = kernels::top_k_select_excluding(&with_nan, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(order, vec![1, 2, 3, 0]);
+
+    // Streamed (`top_k_dots`, tile by tile) versus whole-slice
+    // (`top_k_select_excluding`) selection over two tiles plus a ragged
+    // tail of 3. Identical item rows tie every score, so only the index
+    // tie-break orders them: for heap-sized and quickselect-sized k,
+    // with exclusions (duplicated) straddling the tile edge.
+    let n = 2 * SCORE_TILE + 3;
+    let flat_items = Matrix::filled(n, 3, 0.5);
+    let query = Matrix::from_vec(1, 3, vec![1.0, -2.0, 4.0]);
+    let mut flat_scores = vec![0.0; n];
+    kernels::row_dots_into(&mut flat_scores, &flat_items, query.row(0));
+    // Rising scores: every later tile displaces the heap filled from the
+    // first, and the winners sit in the ragged tail.
+    let rising_items = Matrix::from_fn(n, 3, |r, _| r as f32 / 64.0);
+    let mut rising_scores = vec![0.0; n];
+    kernels::row_dots_into(&mut rising_scores, &rising_items, query.row(0));
+    let tile_edge = SCORE_TILE as u32;
+    let cases: [(usize, Vec<u32>); 5] = [
+        (4, vec![]),
+        (4, vec![0, 1, 1, 2]),
+        (300, vec![tile_edge - 1, tile_edge, tile_edge]),
+        (n, vec![n as u32 - 1]),
+        (n + 2, vec![]),
+    ];
+    for (items, scores) in [(&flat_items, &flat_scores), (&rising_items, &rising_scores)] {
+        for (k, exclude) in &cases {
+            let whole = kernels::top_k_select_excluding(scores, *k, exclude, &mut scratch).to_vec();
+            let mut streamed = vec![(0u32, f32::NAN); *k];
+            kernels::top_k_dots(&mut streamed, items, &query, &[0], *k, |_| exclude, Exact(1));
+            assert_eq!(pair_bits(&streamed[..whole.len()]), pair_bits(&whole), "k={k}");
+            assert!(streamed[whole.len()..].iter().all(|&(i, s)| i == u32::MAX && s == f32::NEG_INFINITY));
+        }
+    }
+    let tail_first = kernels::top_k_select_excluding(&rising_scores, 2, &[], &mut scratch);
+    assert_eq!(tail_first.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![n as u32 - 1, n as u32 - 2]);
 }
 
 #[test]
