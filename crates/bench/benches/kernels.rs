@@ -259,12 +259,10 @@ fn main() {
     // The same two ops on a power-law graph (one hub row with ~90% of
     // the nnz, Zipf-ish columns): the shape where static row chunks
     // serialize on the hub and the cost model switches to nnz-weighted
-    // work-stealing plans. The transposed kernel additionally streams
-    // the cached column-major index here instead of binary-searching
-    // every row per chunk, so its parallel cells should no longer
-    // trail serial even at 2 threads.
+    // work-stealing plans. The transposed kernel is `spmm` over the
+    // matrix's cached transpose, which `op_rows`' warm-up call builds
+    // before any cell is timed.
     let skew = skewed_csr(8000, 40_000, 40_000, 9);
-    skew.prewarm_spmm_t(); // the index is per-matrix and amortized in training; keep it out of the cells
     let skew_x = init::uniform(40_000, 64, -1.0, 1.0, &mut rng::seeded(10));
     let skew_xt = init::uniform(8000, 64, -1.0, 1.0, &mut rng::seeded(11));
     op_rows(

@@ -278,13 +278,16 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The fingerprint row [`write_archive`] appends: which machine
+/// The fingerprint row [`write_archive`] appends: which machine and
+/// toolchain (`rustc -V` and the rustflags, recorded by `build.rs`)
 /// produced the archive's numbers.
 fn machine_row() -> Row {
     Row::new()
         .str("op", "machine")
         .str("cpu", &cpu_model())
         .num("hardware_threads", par::hardware_threads())
+        .str("rustc", env!("GNMR_BENCH_RUSTC_VERSION"))
+        .str("rustflags", env!("GNMR_BENCH_RUSTFLAGS"))
 }
 
 /// Prints the bench's opening line: family, machine and mode.
@@ -402,5 +405,10 @@ mod tests {
         assert_eq!(row.text("op"), Some("machine"));
         assert!(row.text("cpu").is_some_and(|c| !c.is_empty()));
         assert!(row.int("hardware_threads").is_some_and(|n| n >= 1));
+        assert!(row.text("rustc").is_some_and(|v| v.starts_with("rustc ") || v == "unknown"));
+        assert!(row.text("rustflags").is_some());
+        // The row survives the archive's own writer and reader.
+        let text = render(std::slice::from_ref(&row));
+        assert_eq!(parse(&text).unwrap(), vec![row]);
     }
 }

@@ -73,13 +73,6 @@ impl Gnmr {
         let adj_item_user: Vec<Arc<Csr>> = (0..graph.n_behaviors())
             .map(|k| Arc::new(cfg.norm.apply(graph.item_user(k))))
             .collect();
-        // Training backpropagates through every spmm above via spmm_t,
-        // whose parallel kernel streams a lazily built column-major
-        // index; build those indices here so the first epoch is not
-        // slower (or differently timed) than the rest.
-        for adj in adj_user_item.iter().chain(adj_item_user.iter()) {
-            adj.prewarm_spmm_t();
-        }
 
         Self {
             cfg,

@@ -90,10 +90,14 @@ impl Gnmr {
     /// Errors surface checkpoint I/O failures (including injected
     /// faults from `ck.plan`) and resume-validation failures
     /// ([`io::ErrorKind::InvalidData`] when the checkpoint does not
-    /// match this model's parameters or the training config). On a
-    /// mid-training write error the model is left partially trained
-    /// without refreshed representations; the on-disk checkpoint is
-    /// still whole (old or new generation, never a blend).
+    /// match this model's parameters or the training config). A run
+    /// whose parameters stop being finite fails with
+    /// [`io::ErrorKind::InvalidData`] naming the epoch at its next
+    /// checkpoint instead of writing it. On a mid-training error the
+    /// model is left partially trained without refreshed
+    /// representations; the on-disk checkpoint is still whole (old or
+    /// new generation, never a blend) and never holds a non-finite
+    /// parameter.
     ///
     /// # Panics
     /// If the graph dimensions do not match the model.
@@ -166,6 +170,14 @@ impl Gnmr {
                 // the RNG sits between epochs, the lr decay has been
                 // applied, and the loss history is whole.
                 if (epoch + 1) % ck.every == 0 {
+                    // A diverged run must not replace the last good
+                    // generation on disk with NaN/inf parameters.
+                    if !self.store.all_finite() {
+                        return Err(wire::bad(format!(
+                            "fit: parameters are not finite after epoch {}; checkpoint not written",
+                            epoch + 1
+                        )));
+                    }
                     let c = TrainCheckpoint::capture(&self.store, &trainer.opt, &sample_rng, epoch + 1, &report);
                     c.save_with(&ck.path, &mut ck.plan)?;
                 }

@@ -240,3 +240,21 @@ fn injected_write_faults_keep_previous_generation_and_resume_cleanly() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn diverged_parameters_are_never_checkpointed() {
+    let d = presets::tiny_movielens(3);
+    let dir = scratch("diverged");
+    let path = dir.join("run.ckpt");
+    // An infinite learning rate makes the first Adam step non-finite;
+    // a batch covering every user makes that the whole first epoch.
+    let tcfg = TrainConfig { lr: f32::INFINITY, batch_users: 100_000, ..train_cfg(3) };
+    let mut m = Gnmr::new(&d.graph, quick_cfg());
+    let mut ck = Checkpointing::every(&path, 1);
+    let err = m.fit_checkpointed(&d.graph, &tcfg, &mut ck).expect_err("diverged fit checkpointed");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("epoch 1"), "{err}");
+    assert!(!path.exists(), "a non-finite checkpoint was written");
+    assert!(!temp_path(&path).exists(), "a non-finite checkpoint was staged");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -21,13 +21,15 @@
 //! ```
 //!
 //! Floats travel as bit patterns ([`f32::to_bits`]/[`f32::from_bits`]),
-//! so a round trip is bitwise-exact — including negative zero and NaN
-//! payloads — which is what lets the serve path promise byte-identical
-//! recommendation lists to the training-side model. [`ModelSnapshot::from_bytes`]
-//! rejects corrupt or foreign input up front: bad magic, unsupported
-//! version, checksum mismatch, truncation, trailing bytes, non-UTF-8 or
-//! out-of-order names, and representation-width mismatches all fail with
-//! [`std::io::ErrorKind::InvalidData`] before any value is trusted. The
+//! so a round trip is bitwise-exact — including negative zero, and NaN
+//! payloads in the params — which is what lets the serve path promise
+//! byte-identical recommendation lists to the training-side model.
+//! [`ModelSnapshot::from_bytes`] rejects corrupt or foreign input up
+//! front: bad magic, unsupported version, checksum mismatch, truncation,
+//! trailing bytes, non-UTF-8 or out-of-order names, representation-width
+//! mismatches, and any NaN or infinity in `user_repr`/`item_repr` (the
+//! scoring surface: a NaN row would rank first for every user) all fail
+//! with [`std::io::ErrorKind::InvalidData`] before any value is trusted. The
 //! header is hardened against allocation bombs: the declared shape-table
 //! count, every `rows × cols` product, and the total declared payload
 //! are all bounded against the bytes actually present **before** any
@@ -149,7 +151,8 @@ impl ModelSnapshot {
 
     /// Parses and validates a snapshot. Every rejection path —
     /// truncation, bad magic, unsupported version, checksum mismatch,
-    /// malformed or oversized table, trailing bytes — returns
+    /// malformed or oversized table, trailing bytes, a non-finite
+    /// representation value — returns
     /// [`io::ErrorKind::InvalidData`] with a message naming the defect.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
         // Integrity first: nothing after this point trusts a byte the
@@ -202,6 +205,13 @@ impl ModelSnapshot {
         let user_repr = r.matrix(u_rows, u_cols, "user_repr payload")?;
         let item_repr = r.matrix(v_rows, v_cols, "item_repr payload")?;
         r.finish()?;
+        // A checksum-valid NaN row would rank first for every user (NaN
+        // sorts above +inf), so the serving surface must be finite.
+        for (name, m) in [("user_repr", &user_repr), ("item_repr", &item_repr)] {
+            if let Some(row) = (0..m.rows()).find(|&i| !m.row(i).iter().all(|v| v.is_finite())) {
+                return Err(wire::bad(format!("snapshot: {name} row {row} holds a non-finite value")));
+            }
+        }
         Ok(ModelSnapshot { params, user_repr, item_repr })
     }
 

@@ -113,6 +113,35 @@ fn corrupt_snapshot_keeps_old_index_and_surfaces_typed_error() {
 }
 
 #[test]
+fn non_finite_snapshot_keeps_previous_generation_serving() {
+    let (gen1, gen2) = two_generations();
+    let dir = scratch("nonfinite");
+    let path = dir.join("model.snap");
+    let handle = ServeHandle::new(ServeIndex::from_snapshot(&gen1));
+    handle.reload_snapshot(&gen2).expect("reload");
+    let before = full_batch(&handle.index(), 5);
+
+    // A checksum-valid snapshot whose item row 0 is NaN: it would rank
+    // first for every user, so the reload must fail and generation 1
+    // keep serving its own lists.
+    let mut items = gen1.item_repr().clone();
+    items.row_mut(0).fill(f32::NAN);
+    let poisoned = ModelSnapshot::new(gen1.params().to_vec(), gen1.user_repr().clone(), items);
+    poisoned.save(&path).expect("save");
+    let err = handle.reload_from_path(&path).expect_err("NaN snapshot accepted");
+    match err {
+        ReloadError::Load(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains("item_repr row 0"), "{e}");
+        }
+        other => panic!("expected Load error, got {other}"),
+    }
+    assert_eq!(handle.generation(), 1);
+    assert_eq!(full_batch(&handle.index(), 5), before, "previous generation disturbed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn incompatible_shape_is_rejected_without_swapping() {
     let (gen1, _) = two_generations();
     let handle = ServeHandle::new(ServeIndex::from_snapshot(&gen1));

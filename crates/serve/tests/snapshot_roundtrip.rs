@@ -223,3 +223,35 @@ fn from_model_on_not_ready_model_is_a_typed_error() {
     let e: std::io::Error = ModelSnapshot::from_model(&model).err().expect("not ready").into();
     assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
 }
+
+#[test]
+fn non_finite_representation_rows_are_rejected_with_valid_checksums() {
+    let model = ready_model();
+    let snap = ModelSnapshot::from_model(&model).expect("ready model");
+    let bytes = snap.to_bytes();
+    let (u, v) = (snap.user_repr(), snap.item_repr());
+    // The payload ends with user_repr then item_repr, right before the
+    // 8-byte checksum.
+    let item_start = bytes.len() - 8 - 4 * v.rows() * v.cols();
+    let user_start = item_start - 4 * u.rows() * u.cols();
+    let poke = |offset: usize, value: f32| {
+        restamp(&bytes, |b| b[offset..offset + 4].copy_from_slice(&value.to_bits().to_le_bytes()))
+    };
+
+    let nan_item = poke(item_start + 4 * (3 * v.cols() + 1), f32::NAN);
+    let err = ModelSnapshot::from_bytes(&nan_item).err().expect("NaN item row accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("item_repr row 3"), "{err}");
+
+    let inf_user = poke(user_start + 4 * (2 * u.cols()), f32::NEG_INFINITY);
+    let err = ModelSnapshot::from_bytes(&inf_user).err().expect("infinite user row accepted");
+    assert!(err.to_string().contains("user_repr row 2"), "{err}");
+
+    // Params are not a scoring surface: their NaN payloads still round
+    // trip bit for bit.
+    let mut params = snap.params().to_vec();
+    params[0].1.data_mut()[0] = f32::from_bits(0x7fc0_1234);
+    let with_nan = ModelSnapshot::new(params, u.clone(), v.clone());
+    let loaded = ModelSnapshot::from_bytes(&with_nan.to_bytes()).expect("NaN param rejected");
+    assert_eq!(loaded.params()[0].1.data()[0].to_bits(), 0x7fc0_1234);
+}

@@ -302,11 +302,7 @@ impl Matrix {
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        kernels::transpose(&mut out, self, Mode::Assign);
         out
     }
 
@@ -429,14 +425,8 @@ impl Matrix {
 
     /// Multiplies row `r` of the output by `col[r]` (`col` is `rows x 1`).
     pub fn mul_col_broadcast(&self, col: &Matrix) -> Matrix {
-        assert_eq!(col.shape(), (self.rows, 1), "mul_col_broadcast: expected {}x1, got {}x{}", self.rows, col.rows, col.cols);
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let s = col.data[r];
-            for o in out.row_mut(r) {
-                *o *= s;
-            }
-        }
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        kernels::mul_col_broadcast(&mut out, self, col, Mode::Assign);
         out
     }
 

@@ -35,7 +35,9 @@
 //! a behavior's interactions — the normal case on power-law graphs)
 //! switches to nnz-balanced chunks executed under the work-stealing
 //! schedule ([`par::Schedule::Stealing`]). The plan decides who
-//! computes which rows and when — never what the bytes are.
+//! computes which rows and when — never what the bytes are. `spmm_t`
+//! is `spmm` over the matrix's cached transpose, so its plan balances
+//! column degrees with the same code.
 //!
 //! # Determinism and the canonical lane order
 //!
@@ -935,106 +937,16 @@ fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
 }
 
 /// Transposed sparse x dense product `dst (=|+=) csr^T * dense`,
-/// *streaming* (see [`Mode`]), allocating nothing beyond the lazily
-/// cached column-major index the parallel path shares.
-///
-/// Output rows correspond to CSR *columns*. The parallel path streams
-/// the matrix's lazily built column-major companion index
-/// ([`crate::sparse`]'s `CscIndex`): each output row is one contiguous
-/// entry span, so workers touch only their own columns' entries
-/// instead of binary-searching every CSR row per chunk — the
-/// duplicated row-scan cost that made the old kernel trail serial on
-/// scatter-heavy shapes. Chunks are column-nnz-balanced and scheduled
-/// for stealing when column degrees are skewed. Entries within a
-/// column are ordered by ascending CSR row, exactly the serial
-/// scatter's accumulation order, so results stay bitwise identical to
-/// the serial reference at every thread count.
+/// *streaming* (see [`Mode`]): [`spmm`] over the matrix's transpose,
+/// which the `Csr` builds on the first call and caches, so later calls
+/// allocate nothing. Transposed row `c` holds CSR column `c`'s entries
+/// in ascending CSR row — the serial scatter's accumulation order — so
+/// results stay bitwise identical to the serial reference at every
+/// thread count, and the cost model balances chunks by column degree.
 pub fn spmm_t(dst: &mut Matrix, csr: &Csr, dense: &Matrix, mode: Mode, threads: Threads) {
     assert_spmm_t(csr, dense);
-    let d = dense.cols();
-    assert_dst(dst, (csr.cols(), d), "spmm_t");
-    if mode == Mode::Assign {
-        dst.data_mut().fill(0.0);
-    }
-    let dd = dense.data();
-    // Plan and dispatch with the parallelism the call will actually
-    // get — the same count `Csr::prewarm_spmm_t` plans with, so the
-    // prewarm decision and the runtime schedule can never disagree.
-    let threads = par::effective_parallelism(threads.resolve(csr.nnz() * d));
-    // The serial scatter is the best single-thread algorithm (each CSR
-    // row's dense operand stays register/L1-resident), so it also
-    // serves any call the oversubscription guard will run on one
-    // thread anyway — the parallel-oriented kernels below only earn
-    // their different access patterns when threads actually run
-    // concurrently.
-    if threads <= 1 || csr.cols() == 0 || csr.nnz() == 0 {
-        spmm_t_cols(csr, dd, d, 0..csr.cols(), dst.data_mut());
-        return;
-    }
-    // Plan from the cheap column span table (O(cols), cached); the
-    // full O(nnz) column-major permutation is only materialized when
-    // the plan actually picks the streaming path below.
-    let (ranges, schedule) = span_plan(csr.col_spans(), threads);
-    match schedule {
-        // Near-uniform column degrees: the row-scanning kernel. Each
-        // chunk streams every CSR row once (sequential reads, binary
-        // search to its own column window), which at the static plan's
-        // low chunk count has better locality than column-major entry
-        // streaming and was never the shape that trailed serial.
-        Schedule::Static => {
-            par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, schedule, |crange, chunk| {
-                spmm_t_cols(csr, dd, d, crange, chunk);
-            });
-        }
-        // Skewed column degrees: stream the column-major index. Each
-        // output row is one contiguous entry span, so a hub column
-        // costs exactly its nnz — no per-chunk full row scans — and
-        // the nnz-weighted stealing chunks keep the hub from
-        // serializing the call.
-        Schedule::Stealing => {
-            if d == 0 {
-                return;
-            }
-            let csc = csr.csc();
-            par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, schedule, |crange, chunk| {
-                // Running split cursors instead of per-column range
-                // slicing: on wide catalogs most columns hold zero or
-                // one entry, so per-column bookkeeping (not arithmetic)
-                // is what this loop mostly executes — keep it to one
-                // `split_at` per array per column.
-                let ptrs = &csc.col_ptr[crange.start..crange.end + 1];
-                let last = ptrs.len() - 1;
-                let mut rrows = &csc.rows[ptrs[0]..ptrs[last]];
-                let mut rvals = &csc.values[ptrs[0]..ptrs[last]];
-                for (orow, w) in chunk.chunks_exact_mut(d).zip(ptrs.windows(2)) {
-                    let take = w[1] - w[0];
-                    let (hr, tr) = rrows.split_at(take);
-                    let (hv, tv) = rvals.split_at(take);
-                    (rrows, rvals) = (tr, tv);
-                    for (&r, &v) in hr.iter().zip(hv) {
-                        let drow = &dd[r as usize * d..(r as usize + 1) * d];
-                        axpy_lanes(orow, drow, v);
-                    }
-                }
-            });
-        }
-    }
-}
-
-fn spmm_t_cols(csr: &Csr, dense: &[f32], d: usize, crange: Range<usize>, out: &mut [f32]) {
-    for r in 0..csr.rows() {
-        let (cols, vals) = csr.row(r);
-        let lo = cols.partition_point(|&c| (c as usize) < crange.start);
-        let hi = cols.partition_point(|&c| (c as usize) < crange.end);
-        if lo == hi {
-            continue;
-        }
-        let drow = &dense[r * d..(r + 1) * d];
-        for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
-            let orow = &mut out[(c as usize - crange.start) * d..][..d];
-            axpy_lanes(orow, drow, v);
-        }
-    }
+    assert_dst(dst, (csr.cols(), dense.cols()), "spmm_t");
+    spmm(dst, csr.transposed(), dense, mode, threads);
 }
 
 // ----- elementwise / gradient accumulation ----------------------------
@@ -1904,7 +1816,15 @@ mod tests {
             assert_eq!(got.data(), reference.data());
         }
         let xt = mat(6, 7, 0.8);
-        let reference_t = run(5, 7, |o| spmm_t_cols(&csr, xt.data(), 7, 0..5, o.data_mut()));
+        // The serial scatter: CSR rows ascending, one axpy per entry.
+        let reference_t = run(5, 7, |o| {
+            for r in 0..csr.rows() {
+                let (cols, vals) = csr.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    axpy_lanes(o.row_mut(c as usize), xt.row(r), v);
+                }
+            }
+        });
         for threads in [1, 2, 4] {
             let got = run(5, 7, |o| spmm_t(o, &csr, &xt, Mode::Acc, Threads::Exact(threads)));
             assert_eq!(got.data(), reference_t.data());

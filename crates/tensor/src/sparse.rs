@@ -12,6 +12,12 @@
 //! order), sorts each row stably by column, and sums duplicates in
 //! insertion order — the same accumulation order as the serial
 //! reference; normalization scales disjoint row spans in place.
+//!
+//! # The cached transpose
+//!
+//! The transposed SpMM of a backward pass runs as a plain SpMM over
+//! the matrix's transpose, which each `Csr` builds on first use and
+//! keeps for its lifetime.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -93,7 +99,7 @@ fn rebuild_csr(rows: usize, cols: usize, sorted: &[(u32, u32, f32)]) -> Csr {
     for i in 0..rows {
         indptr[i + 1] += indptr[i];
     }
-    Csr { rows, cols, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
+    Csr::from_parts(rows, cols, indptr, indices, values)
 }
 
 /// Scales each row span in `range` to sum to 1 (rows summing to 0 are
@@ -198,24 +204,7 @@ fn build_csr(rows: usize, cols: usize, mut entries: Vec<(u32, u32, f32)>, thread
         values.extend_from_slice(&out.values);
     }
     debug_assert_eq!(row, rows);
-    Csr { rows, cols, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
-}
-
-/// The column-major companion index of a [`Csr`]: the same entries
-/// re-bucketed by column, with rows ascending inside each column (a
-/// CSC view). Built lazily by the transposed-SpMM kernel so each
-/// output row (a CSR *column*) can be produced by streaming one
-/// contiguous span instead of binary-searching every CSR row — the
-/// fix for `spmm_t` trailing serial on scatter-heavy shapes.
-#[derive(Clone, Debug)]
-pub(crate) struct CscIndex {
-    /// `rows + 1`-style span table over columns: column `c` owns
-    /// entries `col_ptr[c]..col_ptr[c + 1]`.
-    pub(crate) col_ptr: Vec<usize>,
-    /// Row index of each entry, ascending within a column.
-    pub(crate) rows: Vec<u32>,
-    /// Entry values, permuted to match `rows`.
-    pub(crate) values: Vec<f32>,
+    Csr::from_parts(rows, cols, indptr, indices, values)
 }
 
 /// A compressed-sparse-row matrix of `f32`.
@@ -229,32 +218,17 @@ pub struct Csr {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f32>,
-    /// Lazily built column span table (the `col_ptr` half of a CSC
-    /// view, O(cols) memory): enough for the kernel cost model to plan
-    /// column-weighted chunks without paying for the full entry
-    /// permutation. Derived from the fields above; not cloned or
-    /// compared.
-    col_spans: OnceLock<Vec<usize>>,
-    /// Lazily built column-major companion (see [`CscIndex`], O(nnz)
-    /// memory) — only materialized when the transposed-SpMM actually
-    /// takes the column-streaming path. Derived entirely from the
-    /// fields above, so it is deliberately *not* cloned or compared —
-    /// a clone whose values are about to be rescaled (normalization)
-    /// must not inherit a stale index.
-    csc: OnceLock<CscIndex>,
+    /// The lazily built transpose the transposed SpMM runs over (see
+    /// [`Csr::transposed`]). Derived entirely from the fields above,
+    /// so it is deliberately *not* cloned or compared — a clone whose
+    /// values are about to be rescaled (normalization) must not
+    /// inherit a stale transpose.
+    transposed: OnceLock<Box<Csr>>,
 }
 
 impl Clone for Csr {
     fn clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.clone(),
-            col_spans: OnceLock::new(),
-            csc: OnceLock::new(),
-        }
+        Csr::from_parts(self.rows, self.cols, self.indptr.clone(), self.indices.clone(), self.values.clone())
     }
 }
 
@@ -294,15 +268,12 @@ impl Csr {
 
     /// An empty (all-zero) CSR.
     pub fn empty(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-            col_spans: OnceLock::new(),
-            csc: OnceLock::new(),
-        }
+        Csr::from_parts(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
+    }
+
+    /// Assembles a CSR from its arrays, with an empty transpose cache.
+    fn from_parts(rows: usize, cols: usize, indptr: Vec<usize>, indices: Vec<u32>, values: Vec<f32>) -> Self {
+        Csr { rows, cols, indptr, indices, values, transposed: OnceLock::new() }
     }
 
     /// Number of rows.
@@ -332,85 +303,6 @@ impl Csr {
     /// keeps one hub user from serializing a parallel SpMM.
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
-    }
-
-    /// The lazily built column span table (`cols + 1` entries): column
-    /// `c` holds `col_spans()[c + 1] - col_spans()[c]` stored entries.
-    /// O(cols) memory and one O(nnz) counting pass — this is all the
-    /// kernel cost model needs to plan column-weighted chunks, so
-    /// near-uniform matrices never pay for the full entry permutation
-    /// ([`Csr::csc`]).
-    pub(crate) fn col_spans(&self) -> &[usize] {
-        if let Some(ix) = self.csc.get() {
-            return &ix.col_ptr;
-        }
-        self.col_spans.get_or_init(|| {
-            let mut col_ptr = vec![0usize; self.cols + 1];
-            for &c in &self.indices {
-                col_ptr[c as usize + 1] += 1;
-            }
-            for c in 0..self.cols {
-                col_ptr[c + 1] += col_ptr[c];
-            }
-            col_ptr
-        })
-    }
-
-    /// Builds the column-major entry arrays: a stable counting sort of
-    /// the entries by column, preserving ascending row order within
-    /// each column (exactly the order the serial transposed-SpMM
-    /// scatter accumulates in, which is what keeps the CSC kernel
-    /// bitwise-equal to it).
-    fn build_csc_arrays(&self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        let col_ptr = self.col_spans().to_vec();
-        let mut rows = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = col_ptr.clone();
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let slot = cursor[c as usize];
-                rows[slot] = r as u32;
-                values[slot] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        (col_ptr, rows, values)
-    }
-
-    /// The lazily built column-major companion index (see [`CscIndex`]).
-    /// First call pays one O(nnz + cols) counting sort; every later
-    /// call is free. `Csr` values are immutable once built, so the
-    /// index can never go stale (clones start with an empty cache).
-    pub(crate) fn csc(&self) -> &CscIndex {
-        self.csc.get_or_init(|| {
-            let (col_ptr, rows, values) = self.build_csc_arrays();
-            CscIndex { col_ptr, rows, values }
-        })
-    }
-
-    /// Forces the transposed-SpMM companion structures to exist now,
-    /// so the first backward pass of an epoch does not pay the one-off
-    /// builds inside its timing. The cheap column span table is always
-    /// warmed; the full O(nnz) entry permutation is built only when
-    /// the cost model (at the currently configured thread count) would
-    /// actually pick the column-streaming path — near-uniform matrices
-    /// keep their memory. Graph loaders call this on adjacencies they
-    /// know will train.
-    pub fn prewarm_spmm_t(&self) {
-        if self.nnz() == 0 {
-            return;
-        }
-        let spans = self.col_spans();
-        // Plan with the parallelism a dispatch will actually get (the
-        // oversubscription guard serializes implicit thread counts the
-        // hardware cannot run): if the kernel would take the serial
-        // path anyway, the O(nnz) index would never be read.
-        let threads = par::effective_parallelism(par::num_threads());
-        let (_, schedule) = kernels::span_plan(spans, threads);
-        if schedule == par::Schedule::Stealing && threads > 1 {
-            let _ = self.csc();
-        }
     }
 
     /// Column indices and values of row `r`.
@@ -446,27 +338,48 @@ impl Csr {
 
     /// Transposed sparse x dense product: `self^T (c x r) * dense (r x d)`.
     ///
-    /// Used by SpMM backward passes; avoids materializing the transpose.
-    /// The parallel kernel partitions output rows (CSR columns) so the
-    /// scatter writes stay race-free and deterministic.
+    /// Used by SpMM backward passes: an SpMM over this matrix's cached
+    /// transpose (built on the first call), so it partitions output
+    /// rows (CSR columns) exactly like [`Csr::spmm`].
     pub fn spmm_t(&self, dense: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, dense.cols());
         kernels::spmm_t(&mut out, self, dense, Mode::Acc, Threads::Auto);
         out
     }
 
-    /// The transposed CSR (materialized).
-    ///
-    /// Built in O(nnz + cols) straight from the column-major entry
-    /// order (reusing the cached [`CscIndex`] when one exists) instead
-    /// of re-sorting triplets; entries are already unique and sorted,
-    /// so the result is byte-identical to the triplet path.
+    /// The transposed CSR (materialized), built in O(nnz + cols) by a
+    /// stable counting sort of the entries by column: each transposed
+    /// row lists its entries in ascending original row, already unique
+    /// and sorted, so the result is byte-identical to the triplet path.
     pub fn transpose(&self) -> Csr {
-        let (indptr, indices, values) = match self.csc.get() {
-            Some(ix) => (ix.col_ptr.clone(), ix.rows.clone(), ix.values.clone()),
-            None => self.build_csc_arrays(),
-        };
-        Csr { rows: self.cols, cols: self.rows, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        let mut cursor = indptr.clone();
+        for r in 0..self.rows {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = &mut cursor[c as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        Csr::from_parts(self.cols, self.rows, indptr, indices, values)
+    }
+
+    /// This matrix's transpose, built by [`Csr::transpose`] on first use
+    /// and cached: the operand `kernels::spmm_t` runs `spmm` over. Its
+    /// row `c` holds column `c`'s entries in ascending row — exactly
+    /// the order the serial transposed scatter accumulates in.
+    pub(crate) fn transposed(&self) -> &Csr {
+        self.transposed.get_or_init(|| Box::new(self.transpose()))
     }
 
     /// A copy whose rows each sum to 1 (rows summing to 0 are left

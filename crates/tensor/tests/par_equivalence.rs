@@ -719,6 +719,29 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     assert_eq!(csr.transpose(), via_triplets);
 }
 
+/// `spmm_t` runs over a transpose cached on the `Csr`. Copies made
+/// after the cache is built — a plain clone, and the normalized copies
+/// that clone and then rescale their values — must build their own
+/// transpose, never inherit the source's: a derived `Clone` would hand
+/// the normalized copies a transpose of the *unnormalized* values.
+#[test]
+fn transpose_cache_never_leaks_into_copies() {
+    let triplets: Vec<(u32, u32, f32)> =
+        (0..240u32).map(|i| ((i * 7) % 50, (i * 13) % 37, ((i as f32) * 0.37).sin() + 1.5)).collect();
+    let csr = Csr::from_triplets(50, 37, &triplets);
+    let xt = Matrix::from_fn(50, 11, |r, c| ((r * 5 + c) as f32 * 0.03).cos());
+    // Builds and caches `csr`'s transpose.
+    assert_eq!(spmm_t_on(&csr, &xt, 1).data(), reference::spmm_t_serial(&csr, &xt).data());
+    let _caps = ThreadOverride::lift_caps();
+    let copies = [("clone", csr.clone()), ("row_normalized", csr.row_normalized()), ("sym_normalized", csr.sym_normalized())];
+    for (name, copy) in copies {
+        let want = reference::spmm_t_serial(&copy, &xt);
+        for t in THREADS {
+            assert_eq!(spmm_t_on(&copy, &xt, t).data(), want.data(), "{name} threads={t}");
+        }
+    }
+}
+
 // ----- the thread policy ----------------------------------------------
 //
 // `Threads::Auto` picks the thread count from the shared config
